@@ -17,7 +17,9 @@ A row regresses when the
 candidate is worse than the baseline by more than the threshold fraction.
 Exits 1 if any matched row regressed, 0 otherwise. Rows present on only one
 side are listed but never fail the comparison (benchmarks come and go across
-PRs).
+PRs). Exits 2 without comparing when the two files' contexts differ in
+num_cpus or library_build_type: numbers from different hardware or a
+differently built benchmark library are not like for like.
 
 When a file was recorded with --benchmark_repetitions, each side compares
 the BEST repetition per row (highest throughput / lowest time / lowest
@@ -40,16 +42,17 @@ GATED_COUNTERS = ("p95_lag_ts", "updates_per_sink", "bytes_per_sink",
 BEST_OF = {"items_per_second": max, "real_time": min}
 BEST_OF.update({c: min for c in GATED_COUNTERS})
 
+# Context fields both files must share for their rows to be comparable.
+SAME_CONTEXT = ("num_cpus", "library_build_type")
 
-def load_rows(path):
+
+def load_rows(doc):
     """Load one row per benchmark name, folding repetitions into best-of.
 
     Aggregate rows (mean/median/stddev) are skipped so files recorded with
     repetitions line up against single-run files; the individual repetition
     rows are merged keeping the best value of each compared metric.
     """
-    with open(path) as f:
-        doc = json.load(f)
     rows = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -87,8 +90,24 @@ def main():
                     choices=["auto", "real_time", "items_per_second"])
     args = ap.parse_args()
 
-    base = load_rows(args.baseline)
-    cand = load_rows(args.candidate)
+    with open(args.baseline) as f:
+        base_doc = json.load(f)
+    with open(args.candidate) as f:
+        cand_doc = json.load(f)
+    base_ctx = base_doc.get("context", {})
+    cand_ctx = cand_doc.get("context", {})
+    mismatched = [k for k in SAME_CONTEXT if base_ctx.get(k) != cand_ctx.get(k)]
+    if mismatched:
+        print("error: the two files were recorded in different contexts; "
+              "re-record the baseline on this hardware and build:",
+              file=sys.stderr)
+        for k in mismatched:
+            print(f"  {k}: baseline {base_ctx.get(k)!r}, "
+                  f"candidate {cand_ctx.get(k)!r}", file=sys.stderr)
+        return 2
+
+    base = load_rows(base_doc)
+    cand = load_rows(cand_doc)
     common = sorted(set(base) & set(cand))
     only_base = sorted(set(base) - set(cand))
     only_cand = sorted(set(cand) - set(base))

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -61,57 +60,52 @@ void BM_ReplicationPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplicationPipeline)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-void BM_RefreshCatchup(benchmark::State& state) {
-  // THE direct-vs-legacy engine comparison: a secondary catches up on a
-  // pre-built primary backlog of rounds of 8 overlapping transactions (the
-  // contended shape — the legacy refresher must drain the pending queue at
-  // every start record, the direct engine never stalls). Each iteration
-  // replays the identical backlog into a fresh secondary. Reported items are
-  // refresh commits/second; the p95_lag_ts counter is the 95th-percentile
-  // freshness lag (primary latest commit ts minus seq(DBsec), in timestamp
-  // units) sampled during catch-up.
-  //
-  // Args: direct {0 = legacy, 1 = direct}, applicator threads {1, 2, 4},
-  // frame loss percent {0 = in-process handoff, 1 = ReliableChannel over a
-  // lossy ChaosLink}.
-  const bool direct = state.range(0) != 0;
-  const auto applicators = static_cast<std::size_t>(state.range(1));
-  const double loss = static_cast<double>(state.range(2)) / 100.0;
-
-  engine::Database primary_db(
-      engine::DatabaseOptions{lazysi::kPrimarySiteId, "primary", false});
-  constexpr int kRounds = 100;
+// Appends `rounds` rounds of kConcurrent overlapping primary transactions,
+// numbered from `first_round`: keys are disjoint within a round (every
+// transaction is committable) and shared across rounds (the same keys are
+// rewritten, so chains grow). The legacy refresher must drain its pending
+// queue at every start record of this shape; the direct engine never stalls.
+// With `mixed`, every fifth round also deletes and every seventh aborts one
+// transaction, so replay sees the full record mix. Returns the number of
+// commits.
+std::uint64_t CommitRounds(engine::Database* db, int first_round, int rounds,
+                           bool mixed) {
   constexpr int kConcurrent = 8;
   constexpr int kOpsPerTxn = 4;
-  for (int r = 0; r < kRounds; ++r) {
+  std::uint64_t commits = 0;
+  for (int r = first_round; r < first_round + rounds; ++r) {
     std::vector<std::unique_ptr<lazysi::txn::Transaction>> txns;
-    for (int t = 0; t < kConcurrent; ++t) txns.push_back(primary_db.Begin());
+    for (int t = 0; t < kConcurrent; ++t) txns.push_back(db->Begin());
     for (int t = 0; t < kConcurrent; ++t) {
       for (int o = 0; o < kOpsPerTxn; ++o) {
-        // Disjoint within a round (keeps every transaction committable),
-        // shared across rounds (same keys are rewritten, so chains grow).
-        (void)txns[t]->Put(
+        const std::string key =
             "k" + std::to_string((t * kOpsPerTxn + o) % 512) + "/" +
-                std::to_string(t),
-            std::to_string(r));
+            std::to_string(t);
+        if (mixed && o == kOpsPerTxn - 1 && r % 5 == 0) {
+          (void)txns[t]->Delete(key);
+        } else {
+          (void)txns[t]->Put(key, std::to_string(r));
+        }
       }
     }
-    for (int t = 0; t < kConcurrent; ++t) (void)txns[t]->Commit();
+    for (int t = 0; t < kConcurrent; ++t) {
+      if (mixed && t == kConcurrent - 1 && r % 7 == 0) {
+        txns[t]->Abort();  // abort records flow down the wire too
+      } else if (txns[t]->Commit().ok()) {
+        ++commits;
+      }
+    }
   }
-  const lazysi::Timestamp target = primary_db.LatestCommitTs();
-  const std::uint64_t commits =
-      static_cast<std::uint64_t>(kRounds) * kConcurrent;
+  return commits;
+}
 
-  std::vector<double> lag_samples;
-  bool timed_out = false;
-  for (auto _ : state) {
-    engine::Database sec_db(engine::DatabaseOptions{1, "sec", false});
-    replication::Secondary sec(&sec_db,
-                               replication::SecondaryOptions{applicators,
-                                                             direct});
-    replication::Propagator prop(primary_db.log());
-    std::unique_ptr<replication::ChaosLink> link;
-    std::unique_ptr<replication::ReliableChannel> reliable;
+// A fresh secondary fed by a propagator that replays `log` from its start,
+// either by in-process handoff (loss 0) or through a ReliableChannel over a
+// ChaosLink that drops frames with probability `loss`. The propagator is not
+// started, so the caller decides when replay begins.
+struct ReplayRig {
+  ReplayRig(lazysi::wal::LogicalLog* log, bool direct, double loss)
+      : sec(&sec_db, replication::SecondaryOptions{direct}), prop(log) {
     sec.Start();
     if (loss > 0.0) {
       replication::FaultProfile faults;
@@ -126,147 +120,111 @@ void BM_RefreshCatchup(benchmark::State& state) {
     } else {
       prop.AttachSink(sec.update_queue());
     }
-    std::atomic<bool> sampling{true};
-    std::vector<double> iter_lags;
-    std::thread sampler([&] {
-      while (sampling.load(std::memory_order_acquire)) {
-        iter_lags.push_back(static_cast<double>(target - sec.applied_seq()));
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-    // Manual timing brackets exactly the catch-up window; teardown (notably
-    // the propagator's 50 ms poll-interval shutdown) is excluded.
-    const auto begin = std::chrono::steady_clock::now();
-    prop.Start();
-    const bool ok = sec.WaitForSeq(target, std::chrono::milliseconds(60000));
-    state.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count());
-    sampling.store(false, std::memory_order_release);
-    sampler.join();
+  }
+  ~ReplayRig() {
     prop.Stop();
     if (reliable) reliable->Stop();
     sec.Stop();
-    if (!ok) {
-      timed_out = true;
-      break;
-    }
-    lag_samples.insert(lag_samples.end(), iter_lags.begin(), iter_lags.end());
   }
-  if (timed_out) {
+  ReplayRig(const ReplayRig&) = delete;
+  ReplayRig& operator=(const ReplayRig&) = delete;
+
+  engine::Database sec_db{engine::DatabaseOptions{1, "sec", false}};
+  replication::Secondary sec;
+  replication::Propagator prop;
+  std::unique_ptr<replication::ChaosLink> link;
+  std::unique_ptr<replication::ReliableChannel> reliable;
+};
+
+// Replay catch-up and freshness of one engine. Each iteration replays the
+// identical pre-built backlog of `rounds` rounds into a fresh secondary;
+// reported items are refresh commits/second over exactly the catch-up window
+// (teardown, notably the propagator's 50 ms poll-interval shutdown, is
+// excluded).
+//
+// Then, on the in-process rows, p95_lag_ts: a caught-up secondary follows a
+// primary that commits one round (8 commits, 16 timestamps) every
+// kRoundPeriod on a fixed schedule, and each round's end samples the lag —
+// primary latest commit ts minus seq(DBsec), in timestamp units. A replica
+// that keeps up has applied every earlier round by then, so the p95 is one
+// round (16); it rises once more than 5% of rounds find the previous round
+// still unapplied. The lossy rows skip this phase: there the lag follows the
+// reliable channel's retransmission backoff, and its p95 spread 32-321 over
+// repeated runs of identical code, so it could not gate replay.
+void ReplayCatchup(benchmark::State& state, bool direct, double loss,
+                   int rounds, bool mixed) {
+  constexpr auto kRoundPeriod = std::chrono::microseconds(1000);
+  constexpr int kSteadyRounds = 2000;
+  constexpr auto kTimeout = std::chrono::milliseconds(60000);
+
+  engine::Database primary_db(
+      engine::DatabaseOptions{lazysi::kPrimarySiteId, "primary", false});
+  const std::uint64_t commits = CommitRounds(&primary_db, 0, rounds, mixed);
+  const lazysi::Timestamp target = primary_db.LatestCommitTs();
+  for (auto _ : state) {
+    ReplayRig rig(primary_db.log(), direct, loss);
+    const auto begin = std::chrono::steady_clock::now();
+    rig.prop.Start();
+    const bool ok = rig.sec.WaitForSeq(target, kTimeout);
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
+            .count());
+    if (!ok) {
+      state.SkipWithError("secondary failed to catch up within 60s");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * commits);
+  if (loss > 0.0) return;
+
+  ReplayRig rig(primary_db.log(), direct, /*loss=*/0.0);
+  rig.prop.Start();
+  if (!rig.sec.WaitForSeq(target, kTimeout)) {
     state.SkipWithError("secondary failed to catch up within 60s");
     return;
   }
-  state.SetItemsProcessed(state.iterations() * commits);
-  if (!lag_samples.empty()) {
-    std::sort(lag_samples.begin(), lag_samples.end());
-    state.counters["p95_lag_ts"] =
-        lag_samples[(lag_samples.size() * 95) / 100 == lag_samples.size()
-                        ? lag_samples.size() - 1
-                        : (lag_samples.size() * 95) / 100];
+  std::vector<double> lags;
+  lags.reserve(kSteadyRounds);
+  auto due = std::chrono::steady_clock::now();
+  for (int r = 0; r < kSteadyRounds; ++r) {
+    due += kRoundPeriod;
+    std::this_thread::sleep_until(due);
+    CommitRounds(&primary_db, rounds + r, 1, mixed);
+    // seq(DBsec) first: it never passes the primary's latest commit, so
+    // reading it before the primary keeps the difference non-negative.
+    const lazysi::Timestamp applied = rig.sec.applied_seq();
+    lags.push_back(static_cast<double>(primary_db.LatestCommitTs() - applied));
   }
+  if (!rig.sec.WaitForSeq(primary_db.LatestCommitTs(), kTimeout)) {
+    state.SkipWithError("secondary fell behind the fixed-rate phase");
+    return;
+  }
+  std::sort(lags.begin(), lags.end());
+  state.counters["p95_lag_ts"] = lags[lags.size() * 95 / 100];
+}
+
+void BM_RefreshCatchup(benchmark::State& state) {
+  // The direct-vs-legacy engine comparison on the contended backlog, with
+  // records handed over in process (loss_pct 0) or crossing a lossy link.
+  ReplayCatchup(state, /*direct=*/state.range(0) != 0,
+                /*loss=*/static_cast<double>(state.range(1)) / 100.0,
+                /*rounds=*/100, /*mixed=*/false);
 }
 BENCHMARK(BM_RefreshCatchup)
-    ->ArgNames({"direct", "applicators", "loss_pct"})
-    ->ArgsProduct({{0, 1}, {1, 2, 4}, {0, 1}})
+    ->ArgNames({"direct", "loss_pct"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelReplayCatchup(benchmark::State& state) {
-  // The parallel-pipeline scaling matrix: the same contended backlog as
-  // BM_RefreshCatchup — plus deletes and aborts, so the decode pool sees the
-  // full record mix — replayed through the direct-apply engine at several
-  // decode/apply widths. decode:0 is the serial direct-apply baseline (one
-  // refresher thread decodes and allocates inline); decode>0 selects the
-  // three-stage pipeline. Items are refresh commits/second; p95_lag_ts is
-  // the 95th-percentile freshness lag (primary latest commit ts minus
-  // seq(DBsec)) sampled during catch-up — the "always keeps up" number, and
-  // the row compare_bench_json.py gates on (lower is better).
-  const auto decode = static_cast<std::size_t>(state.range(0));
-  const auto applicators = static_cast<std::size_t>(state.range(1));
-
-  engine::Database primary_db(
-      engine::DatabaseOptions{lazysi::kPrimarySiteId, "primary", false});
-  constexpr int kRounds = 150;
-  constexpr int kConcurrent = 8;
-  constexpr int kOpsPerTxn = 4;
-  std::uint64_t commits = 0;
-  for (int r = 0; r < kRounds; ++r) {
-    std::vector<std::unique_ptr<lazysi::txn::Transaction>> txns;
-    for (int t = 0; t < kConcurrent; ++t) txns.push_back(primary_db.Begin());
-    for (int t = 0; t < kConcurrent; ++t) {
-      for (int o = 0; o < kOpsPerTxn; ++o) {
-        const std::string key =
-            "k" + std::to_string((t * kOpsPerTxn + o) % 512) + "/" +
-            std::to_string(t);
-        if (o == kOpsPerTxn - 1 && r % 5 == 0) {
-          (void)txns[t]->Delete(key);
-        } else {
-          (void)txns[t]->Put(key, std::to_string(r));
-        }
-      }
-    }
-    for (int t = 0; t < kConcurrent; ++t) {
-      if (t == kConcurrent - 1 && r % 7 == 0) {
-        txns[t]->Abort();  // abort records flow down the wire too
-      } else if (txns[t]->Commit().ok()) {
-        ++commits;
-      }
-    }
-  }
-  const lazysi::Timestamp target = primary_db.LatestCommitTs();
-
-  std::vector<double> lag_samples;
-  bool timed_out = false;
-  for (auto _ : state) {
-    engine::Database sec_db(engine::DatabaseOptions{1, "sec", false});
-    replication::SecondaryOptions opts;
-    opts.applicator_threads = applicators;
-    opts.direct_apply = true;
-    opts.decode_threads = decode;
-    replication::Secondary sec(&sec_db, opts);
-    replication::Propagator prop(primary_db.log());
-    sec.Start();
-    prop.AttachSink(sec.update_queue());
-    std::atomic<bool> sampling{true};
-    std::vector<double> iter_lags;
-    std::thread sampler([&] {
-      while (sampling.load(std::memory_order_acquire)) {
-        iter_lags.push_back(static_cast<double>(target - sec.applied_seq()));
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-    const auto begin = std::chrono::steady_clock::now();
-    prop.Start();
-    const bool ok = sec.WaitForSeq(target, std::chrono::milliseconds(60000));
-    state.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count());
-    sampling.store(false, std::memory_order_release);
-    sampler.join();
-    prop.Stop();
-    sec.Stop();
-    if (!ok) {
-      timed_out = true;
-      break;
-    }
-    lag_samples.insert(lag_samples.end(), iter_lags.begin(), iter_lags.end());
-  }
-  if (timed_out) {
-    state.SkipWithError("secondary failed to catch up within 60s");
-    return;
-  }
-  state.SetItemsProcessed(state.iterations() * commits);
-  if (!lag_samples.empty()) {
-    std::sort(lag_samples.begin(), lag_samples.end());
-    const std::size_t idx = (lag_samples.size() * 95) / 100;
-    state.counters["p95_lag_ts"] =
-        lag_samples[idx >= lag_samples.size() ? lag_samples.size() - 1 : idx];
-  }
+  // The same comparison on a longer backlog with deletes and aborts.
+  ReplayCatchup(state, /*direct=*/state.range(0) != 0, /*loss=*/0.0,
+                /*rounds=*/150, /*mixed=*/true);
 }
 BENCHMARK(BM_ParallelReplayCatchup)
-    ->ArgNames({"decode", "applicators"})
-    ->ArgsProduct({{0, 2, 4}, {1, 2, 4}})
+    ->ArgNames({"direct"})
+    ->Arg(0)
+    ->Arg(1)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

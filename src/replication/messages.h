@@ -20,9 +20,7 @@ struct PropStart {
   /// Position of this record in the propagator's canonical broadcast stream
   /// (its records_broadcast counter at emission). Stamped once at the
   /// propagator, preserved across the wire and transport resyncs, so a
-  /// replica can detect stream discontinuities end-to-end and the parallel
-  /// replay pipeline can fan records out and re-sequence the decoded results
-  /// by tag.
+  /// replica can detect stream discontinuities end-to-end.
   std::uint64_t seq = 0;
 };
 

@@ -9,9 +9,6 @@ namespace replication {
 
 Secondary::Secondary(engine::Database* db, SecondaryOptions options)
     : db_(db), options_(options) {
-  if (options_.applicator_threads == 0) options_.applicator_threads = 1;
-  if (options_.group_apply_limit == 0) options_.group_apply_limit = 1;
-  parallel_engine_ = options_.direct_apply && options_.decode_threads > 0;
   // Publish the local->primary commit-timestamp translation atomically with
   // version visibility (the hook runs under the engine's timestamp mutex),
   // so any reader whose snapshot includes a refresh commit can translate it.
@@ -42,27 +39,12 @@ void Secondary::Start() {
   tasks_.Reopen();
   direct_tasks_.Reopen();
   pending_queue_.Reopen();
-  decode_queue_.Reopen();
-  reorder_.Reset();
-  scheduler_.Reopen();
-  applicators_.reserve(options_.applicator_threads);
-  if (parallel_engine_) {
-    refresher_ = std::thread([this] { IngestLoop(); });
-    decoders_.reserve(options_.decode_threads);
-    for (std::size_t i = 0; i < options_.decode_threads; ++i) {
-      decoders_.emplace_back([this] { DecodeLoop(); });
-    }
-    sequencer_ = std::thread([this] { SequencerLoop(); });
-    for (std::size_t i = 0; i < options_.applicator_threads; ++i) {
-      applicators_.emplace_back([this] { ParallelApplicatorLoop(); });
-    }
-    return;
-  }
   refresher_ = std::thread([this] { RefresherLoop(); });
-  for (std::size_t i = 0; i < options_.applicator_threads; ++i) {
-    if (options_.direct_apply) {
-      applicators_.emplace_back([this] { DirectApplicatorLoop(); });
-    } else {
+  if (options_.direct_apply) {
+    applicators_.emplace_back([this] { DirectApplicatorLoop(); });
+  } else {
+    applicators_.reserve(kLegacyApplicators);
+    for (std::size_t i = 0; i < kLegacyApplicators; ++i) {
       applicators_.emplace_back([this] { ApplicatorLoop(); });
     }
   }
@@ -72,31 +54,11 @@ void Secondary::Stop() {
   if (!started_) return;
   update_queue_.Close();
   refresher_.join();
-  if (parallel_engine_) {
-    // Stage-by-stage shutdown, upstream first, each stage fully drained
-    // before the next closes. Nothing past ingest may be dropped: a decoded
-    // commit the sequencer already allocated has its commit record in the
-    // local log, and abandoning its installation would wedge the visibility
-    // watermark below it forever. Draining in stage order also means the
-    // reorder buffer holds a gapless set when the sequencer does its final
-    // pops, so the contiguous-prefix pop empties it completely.
-    decode_queue_.Close();
-    for (auto& t : decoders_) t.join();
-    decoders_.clear();
-    reorder_.Close();
-    sequencer_.join();
-    scheduler_.Close();
-    for (auto& t : applicators_) t.join();
-    applicators_.clear();
-    direct_txns_.clear();
-    started_ = false;
-    return;
-  }
   tasks_.Close();
   direct_tasks_.Close();
   pending_queue_.Close();
   // Legacy applicators abort whatever WaitHead hands back after the close;
-  // direct applicators instead drain direct_tasks_ completely (Pop after
+  // the direct applicator instead drains direct_tasks_ completely (Pop after
   // Close returns queued items), because every queued task's commit record
   // and timestamp are already published and skipping its installation would
   // wedge the visibility watermark below it forever.
@@ -310,11 +272,10 @@ void Secondary::AdvanceSeq(Timestamp primary_commit_ts) {
 }
 
 void Secondary::AdvanceSeqToWatermark(Timestamp local_watermark) {
-  // The watermark can jump past commits other applicator threads installed
-  // (their FinishExternalCommit returned before ours unblocked the prefix),
-  // so seq(DBsec) is driven off the FIFO of allocated refresh commits, not
-  // off this thread's own task: pop everything visibility has passed and
-  // advance to the newest primary timestamp among them.
+  // seq(DBsec) may only cover refresh commits a reader can already see, so
+  // it is driven off the visibility watermark, not off the installed batch:
+  // pop every allocated refresh commit the watermark has passed and advance
+  // to the newest primary timestamp among them.
   Timestamp newest_primary = kInvalidTimestamp;
   {
     std::lock_guard<std::mutex> lock(visibility_mu_);
@@ -332,12 +293,24 @@ void Secondary::RefresherLoop() {
   // round-trip per burst instead of one per record — but still processed
   // strictly in FIFO (= primary log) order, which is what Lemmas 3.1-3.3
   // require of the refresh schedule.
+  std::uint64_t expected_seq = 0;
+  bool have_expected = false;
   for (;;) {
     std::vector<PropagationRecord> batch =
         update_queue_.PopBatch(kRefresherBatchSize);
     if (batch.empty()) return;  // closed and drained
     bool shutdown = false;
     for (PropagationRecord& record : batch) {
+      // The propagator stamps gapless stream positions; a gap or repeat here
+      // means a transport or stream join lost or duplicated records.
+      const std::uint64_t seq = RecordSeq(record);
+      if (have_expected && seq != expected_seq) {
+        stream_discontinuities_.fetch_add(1, std::memory_order_relaxed);
+        LAZYSI_WARN("secondary: propagation stream discontinuity, expected seq "
+                    << expected_seq << " got " << seq);
+      }
+      expected_seq = seq + 1;
+      have_expected = true;
       CountIncoming(record);
       if (options_.direct_apply) {
         DirectRefreshRecord(record);
@@ -380,8 +353,7 @@ void Secondary::DirectRefreshRecord(PropagationRecord& record) {
     }
     // Local commit timestamps are allocated here, on the single refresher
     // thread, in primary-commit order — local refresh commit order equals
-    // primary commit order by construction (Lemma 3.3), regardless of how
-    // the applicator pool interleaves the installations below.
+    // primary commit order by construction (Lemma 3.3).
     const Timestamp local_ts = tm->BeginExternalCommit(local_id, *writes);
     {
       std::lock_guard<std::mutex> lock(visibility_mu_);
@@ -452,306 +424,12 @@ TxnId Secondary::ResolveCommitTxn(TxnId primary_txn_id) {
   return local_id;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel replay pipeline.
-// ---------------------------------------------------------------------------
-
-bool Secondary::ReorderBuffer::Admit(std::uint64_t seq) {
-  std::unique_lock<std::mutex> lock(mu_);
-  space_cv_.wait(lock, [&] { return closed_ || seq < next_ + kWindow; });
-  return !closed_;
-}
-
-void Secondary::ReorderBuffer::Put(std::uint64_t seq, DecodedRecord record) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.emplace(seq, std::move(record));
-  }
-  ready_cv_.notify_one();
-}
-
-std::vector<Secondary::DecodedRecord> Secondary::ReorderBuffer::PopReady() {
-  std::unique_lock<std::mutex> lock(mu_);
-  ready_cv_.wait(lock, [&] {
-    return closed_ || (!pending_.empty() && pending_.begin()->first == next_);
-  });
-  std::vector<DecodedRecord> out;
-  while (!pending_.empty() && pending_.begin()->first == next_) {
-    out.push_back(std::move(pending_.begin()->second));
-    pending_.erase(pending_.begin());
-    ++next_;
-  }
-  if (!out.empty()) space_cv_.notify_all();
-  return out;
-}
-
-void Secondary::ReorderBuffer::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  ready_cv_.notify_all();
-  space_cv_.notify_all();
-}
-
-void Secondary::ReorderBuffer::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.clear();
-  next_ = 0;
-  closed_ = false;
-}
-
-void Secondary::ApplyScheduler::Submit(DirectTask task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(std::move(task));
-  }
-  cv_.notify_all();
-}
-
-Secondary::ApplyScheduler::Run Secondary::ApplyScheduler::ClaimRun(
-    std::size_t limit) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] {
-    if (!pending_.empty()) {
-      return (pending_.front().footprint & busy_) == 0;
-    }
-    return closed_;
-  });
-  Run run;
-  if (pending_.empty()) return run;  // closed and drained
-  // Greedy head prefix: stop at the first task whose footprint collides with
-  // a concurrently active run. Collision with *this* run's mask is fine —
-  // tasks inside one run install sequentially in one timestamp-ordered
-  // ApplyBatch pass, so intra-run key overlap is harmless.
-  while (run.tasks.size() < limit && !pending_.empty() &&
-         (pending_.front().footprint & busy_) == 0) {
-    run.mask |= pending_.front().footprint;
-    run.tasks.push_back(std::move(pending_.front()));
-    pending_.pop_front();
-  }
-  busy_ |= run.mask;
-  return run;
-}
-
-void Secondary::ApplyScheduler::CompleteRun(std::uint64_t mask) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    busy_ &= ~mask;
-  }
-  cv_.notify_all();
-}
-
-void Secondary::ApplyScheduler::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  cv_.notify_all();
-}
-
-void Secondary::ApplyScheduler::Reopen() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.clear();
-  busy_ = 0;
-  closed_ = false;
-}
-
-std::size_t Secondary::ApplyScheduler::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_.size();
-}
-
-void Secondary::IngestLoop() {
-  // Pipeline stage 0: the only consumer of the update queue. Assigns each
-  // record a gapless local pipeline sequence number (robust across restarts
-  // and resyncs, unlike the propagator-stamped seq, which legitimately gaps
-  // when records were broadcast into a closed queue) and fans the record to
-  // the decode pool. The reorder-buffer window is the pipeline's
-  // backpressure: ingest stalls here when decode or allocation falls behind.
-  std::uint64_t next_seq = 0;
-  std::uint64_t expected_wire_seq = 0;
-  bool have_expected = false;
-  for (;;) {
-    std::vector<PropagationRecord> batch =
-        update_queue_.PopBatch(kRefresherBatchSize);
-    if (batch.empty()) return;  // closed and drained
-    for (PropagationRecord& record : batch) {
-      CountIncoming(record);
-      const std::uint64_t wire_seq =
-          std::visit([](const auto& r) { return r.seq; }, record);
-      if (have_expected && wire_seq != expected_wire_seq) {
-        stream_discontinuities_.fetch_add(1, std::memory_order_relaxed);
-        LAZYSI_WARN("secondary: propagation stream discontinuity, expected seq "
-                    << expected_wire_seq << " got " << wire_seq);
-      }
-      expected_wire_seq = wire_seq + 1;
-      have_expected = true;
-      if (!reorder_.Admit(next_seq)) return;
-      decode_queue_.Push(DecodeJob{next_seq, std::move(record)});
-      ++next_seq;
-    }
-  }
-}
-
-Secondary::DecodedRecord Secondary::DecodeRecord(
-    PropagationRecord& record) const {
-  DecodedRecord out;
-  if (auto* start = std::get_if<PropStart>(&record)) {
-    out.kind = DecodedRecord::Kind::kStart;
-    out.txn_id = start->txn_id;
-    out.primary_ts = start->start_ts;
-  } else if (auto* commit = std::get_if<PropCommit>(&record)) {
-    out.kind = DecodedRecord::Kind::kCommit;
-    out.txn_id = commit->txn_id;
-    out.primary_ts = commit->commit_ts;
-    out.writes = std::make_unique<storage::WriteSet>();
-    for (const storage::Write& w : commit->updates) {
-      if (w.deleted) {
-        out.writes->Delete(w.key);
-      } else {
-        out.writes->Put(w.key, w.value);
-      }
-    }
-    out.footprint = db_->store()->ShardFootprint(*out.writes);
-  } else if (auto* abort = std::get_if<PropAbort>(&record)) {
-    out.kind = DecodedRecord::Kind::kAbort;
-    out.txn_id = abort->txn_id;
-  }
-  return out;
-}
-
-void Secondary::DecodeLoop() {
-  // Pipeline stage 1: all per-record CPU work — write-set construction and
-  // shard-footprint extraction — off the ordered path. Results re-sequence
-  // through the reorder buffer; this loop needs no ordering of its own.
-  while (auto job = decode_queue_.Pop()) {
-    reorder_.Put(job->seq, DecodeRecord(job->record));
-  }
-}
-
-void Secondary::FlushCommitBatch(std::vector<PendingCommit>* batch) {
-  if (batch->empty()) return;
-  txn::TxnManager* tm = db_->txn_manager();
-  {
-    // Stage every translation before allocating the local commit timestamps:
-    // BeginExternalCommitBatch runs the commit hook synchronously, and the
-    // hook must find the staged primary timestamp.
-    std::unique_lock lock(translate_mu_);
-    for (const PendingCommit& pc : *batch) {
-      pending_translation_[pc.local_id] = pc.primary_ts;
-    }
-  }
-  std::vector<txn::TxnManager::ExternalCommitRequest> requests;
-  requests.reserve(batch->size());
-  for (const PendingCommit& pc : *batch) {
-    requests.push_back({pc.local_id, pc.writes.get()});
-  }
-  // The tiny ordered section: the whole batch's timestamps come from one
-  // clock-mutex hold, in batch (= primary-commit) order.
-  const std::vector<Timestamp> allocated = tm->BeginExternalCommitBatch(requests);
-  {
-    std::lock_guard<std::mutex> lock(visibility_mu_);
-    for (std::size_t i = 0; i < batch->size(); ++i) {
-      visibility_fifo_.emplace_back(allocated[i], (*batch)[i].primary_ts);
-    }
-  }
-  for (std::size_t i = 0; i < batch->size(); ++i) {
-    PendingCommit& pc = (*batch)[i];
-    scheduler_.Submit(DirectTask{std::move(pc.writes), allocated[i],
-                                 pc.primary_ts, pc.footprint});
-  }
-  batch->clear();
-}
-
-void Secondary::SequencerLoop() {
-  // Pipeline stage 2: consumes the reordered stream in pipeline-sequence
-  // (= primary log) order and does nothing but bookkeeping and timestamp
-  // allocation. Commits batch through BeginExternalCommitBatch; a start or
-  // abort first flushes the accumulated batch so the local log's record
-  // interleaving exactly mirrors the primary log's (the snapshot of a
-  // refresh transaction is defined by its position among emitted commits).
-  txn::TxnManager* tm = db_->txn_manager();
-  std::vector<PendingCommit> batch;
-  batch.reserve(kSequencerBatch);
-  for (;;) {
-    std::vector<DecodedRecord> ready = reorder_.PopReady();
-    if (ready.empty()) {
-      FlushCommitBatch(&batch);
-      return;  // closed and drained
-    }
-    for (DecodedRecord& rec : ready) {
-      switch (rec.kind) {
-        case DecodedRecord::Kind::kStart: {
-          FlushCommitBatch(&batch);
-          const TxnId local_id = tm->AllocateTxnId();
-          tm->ExternalStart(local_id);
-          direct_txns_[rec.txn_id] = local_id;
-          break;
-        }
-        case DecodedRecord::Kind::kCommit: {
-          const TxnId local_id = ResolveCommitTxn(rec.txn_id);
-          batch.push_back(PendingCommit{local_id, std::move(rec.writes),
-                                        rec.primary_ts, rec.footprint});
-          if (batch.size() >= kSequencerBatch) FlushCommitBatch(&batch);
-          break;
-        }
-        case DecodedRecord::Kind::kAbort: {
-          FlushCommitBatch(&batch);
-          auto it = direct_txns_.find(rec.txn_id);
-          if (it != direct_txns_.end()) {
-            tm->ExternalAbort(it->second);
-            direct_txns_.erase(it);
-          }
-          break;
-        }
-      }
-    }
-    // Flush at burst end rather than waiting for a full batch: when the
-    // stream goes quiet the allocated prefix reaches the applicators (and
-    // the watermark) immediately.
-    FlushCommitBatch(&batch);
-  }
-}
-
-void Secondary::ParallelApplicatorLoop() {
-  // Pipeline stage 3: Algorithm 3.3 in key-disjoint group-apply form. Each
-  // claimed run's shard footprint is exclusive against every other in-flight
-  // run, so concurrent ApplyBatch passes never interleave installs on the
-  // same key and per-key version order equals timestamp order by
-  // construction. Publication stays serialized by the visibility watermark
-  // regardless of install interleaving.
-  for (;;) {
-    ApplyScheduler::Run run = scheduler_.ClaimRun(options_.group_apply_limit);
-    if (run.tasks.empty()) return;  // closed and drained
-    std::vector<storage::VersionedStore::TimestampedWrites> installs;
-    installs.reserve(run.tasks.size());
-    for (const DirectTask& task : run.tasks) {
-      installs.push_back({task.writes.get(), task.local_commit_ts});
-    }
-    db_->store()->ApplyBatch(installs);
-    // Versions are fully installed: release the run's shard claim before the
-    // visibility pass so a same-key successor run can start installing (its
-    // timestamps are higher — order per key is preserved).
-    scheduler_.CompleteRun(run.mask);
-    CountGroupApply(run.tasks.size());
-    Timestamp watermark = kInvalidTimestamp;
-    for (const DirectTask& task : run.tasks) {
-      watermark =
-          db_->txn_manager()->FinishExternalCommit(task.local_commit_ts);
-    }
-    refreshed_count_.fetch_add(run.tasks.size(), std::memory_order_relaxed);
-    AdvanceSeqToWatermark(watermark);
-  }
-}
-
 void Secondary::CountGroupApply(std::size_t batch_size) {
+  // The direct applicator is the only writer; readers load concurrently.
   group_applies_.fetch_add(1, std::memory_order_relaxed);
   group_applied_commits_.fetch_add(batch_size, std::memory_order_relaxed);
-  std::uint64_t prev = max_group_apply_.load(std::memory_order_relaxed);
-  while (batch_size > prev &&
-         !max_group_apply_.compare_exchange_weak(prev, batch_size,
-                                                 std::memory_order_relaxed)) {
+  if (batch_size > max_group_apply_.load(std::memory_order_relaxed)) {
+    max_group_apply_.store(batch_size, std::memory_order_relaxed);
   }
 }
 
@@ -759,12 +437,9 @@ void Secondary::DirectApplicatorLoop() {
   // Algorithm 3.3, group-apply form: drain a run of consecutive refresh
   // commits and install all their writes in one store pass. Tasks arrive in
   // local-commit-timestamp order (single refresher producer), so each batch
-  // is an increasing run, as ApplyBatch requires. No ordering wait is needed
-  // before installation — the visibility watermark serializes *publication*
-  // in timestamp order, so installation itself can proceed in parallel.
+  // is an increasing run, as ApplyBatch requires.
   for (;;) {
-    std::vector<DirectTask> batch =
-        direct_tasks_.PopBatch(options_.group_apply_limit);
+    std::vector<DirectTask> batch = direct_tasks_.PopBatch(kGroupApplyLimit);
     if (batch.empty()) return;  // closed and drained
     std::vector<storage::VersionedStore::TimestampedWrites> installs;
     installs.reserve(batch.size());
@@ -775,8 +450,7 @@ void Secondary::DirectApplicatorLoop() {
     CountGroupApply(batch.size());
     // Mark the whole group installed, then advance seq(DBsec) once: the
     // watermark is monotone, so the last returned value covers everything
-    // this batch (and possibly other threads' batches) unblocked —
-    // AdvanceSeqToWatermark credits those too.
+    // this batch unblocked.
     Timestamp watermark = kInvalidTimestamp;
     for (const DirectTask& task : batch) {
       watermark = db_->txn_manager()->FinishExternalCommit(task.local_commit_ts);

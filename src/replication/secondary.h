@@ -25,29 +25,17 @@ namespace lazysi {
 namespace replication {
 
 struct SecondaryOptions {
-  /// Size of the fixed applicator thread pool (Section 3.3 suggests a fixed
-  /// pool rather than a fork per transaction).
-  std::size_t applicator_threads = 4;
-  /// Direct-apply refresh engine (the default): the refresher allocates
-  /// local commit timestamps up front in primary-commit order, applicators
-  /// install write sets straight into the versioned store, and visibility is
-  /// published through the commit pipeline's watermark — no refresh
-  /// transaction ever passes through Begin/Put/Commit FCW machinery (whose
-  /// validation is provably a no-op for refresh: conflicting primary
-  /// transactions were never concurrent after FCW at the primary).
-  /// When false, the legacy transactional refresh path of Algorithms 3.2/3.3
-  /// runs instead; it is kept alive for differential testing.
+  /// Refresh engine. true (the default) selects the direct-apply engine: the
+  /// refresher allocates local commit timestamps up front in primary-commit
+  /// order, one applicator installs write sets straight into the versioned
+  /// store, and visibility is published through the commit pipeline's
+  /// watermark — no refresh transaction ever passes through Begin/Put/Commit
+  /// FCW machinery (whose validation is provably a no-op for refresh:
+  /// conflicting primary transactions were never concurrent after FCW at the
+  /// primary). false selects the legacy transactional refresh path of
+  /// Algorithms 3.2/3.3, kept as the paper-literal oracle for differential
+  /// testing.
   bool direct_apply = true;
-  /// Direct-apply only: upper bound on the run of consecutive refresh
-  /// commits an applicator group-applies in a single store pass.
-  std::size_t group_apply_limit = 32;
-  /// Direct-apply only: number of decode-pool workers in the parallel replay
-  /// pipeline. Greater than zero (the default) selects the three-stage
-  /// pipeline — decode pool, ordered timestamp allocation, key-disjoint
-  /// concurrent group-apply. Zero selects the serial direct-apply path (one
-  /// refresher thread decodes and allocates inline), kept alive for
-  /// differential testing against the pipeline.
-  std::size_t decode_threads = 2;
 };
 
 /// A secondary site's refresh machinery: the FIFO update queue (kept outside
@@ -57,46 +45,27 @@ struct SecondaryOptions {
 ///
 /// Two interchangeable refresh engines implement the algorithms:
 ///
-///  - The **direct-apply engine** (default). Each propagated commit record
-///    becomes a pre-allocated local commit timestamp
+///  - The **direct-apply engine** (default). The refresher turns each
+///    propagated commit record into a pre-allocated local commit timestamp
 ///    (TxnManager::BeginExternalCommit, called in primary-commit order, so
 ///    local commit order == primary commit order by construction — Lemma
-///    3.3); applicator threads install the write sets concurrently with
-///    VersionedStore::ApplyBatch, group-applying runs of consecutive
-///    commits in one store pass; and the commit pipeline's visibility
-///    watermark publishes each refresh commit only once the whole prefix
-///    below it has installed, which is what keeps snapshots torn-free
-///    without ever draining the pipeline. Start records never block: the
-///    refresh transaction's snapshot is *defined* by its position in the
-///    emitted log (every previously emitted commit, exactly the set a
-///    BeginAtSnapshot at the current watermark target would pin), so
-///    PropStart only emits the local start record and moves on.
-///
-///    With decode_threads > 0 (the default) the direct engine runs as a
-///    three-stage **parallel replay pipeline**:
-///
-///      1. An ingest thread tags each arriving record with a gapless local
-///         sequence number and fans it to a pool of decode workers, which do
-///         the CPU work off the ordered path: write-set construction and
-///         shard-footprint extraction. Decoded records re-sequence through a
-///         bounded reorder buffer.
-///      2. A sequencer thread consumes the reordered stream and does nothing
-///         but timestamp allocation, batching consecutive commits through
-///         TxnManager::BeginExternalCommitBatch — one clock-mutex hold per
-///         batch instead of per commit. This is the tiny ordered section;
-///         everything before and after it is concurrent.
-///      3. Applicators claim *key-disjoint* runs of allocated commits (64-bit
-///         shard-footprint bitmaps; a run is claimable only while its
-///         footprint is disjoint from every in-flight run's) and install
-///         them concurrently via ApplyBatch. Disjointness means same-key
-///         installs always happen in increasing timestamp order, and the
-///         watermark FIFO still only advances seq(DBsec) over fully
-///         installed prefixes.
-///
-///    decode_threads = 0 preserves the serial single-refresher direct path
-///    for differential testing.
-///  - The **legacy transactional engine** (direct_apply = false): refresh
-///    transactions run through the full local concurrency control; the
+///    3.3); one applicator thread installs the write sets with
+///    VersionedStore::ApplyBatch, group-applying runs of consecutive commits
+///    in one store pass; and the commit pipeline's visibility watermark
+///    publishes each refresh commit only once the whole prefix below it has
+///    installed, which is what keeps snapshots torn-free without ever
+///    draining the pipeline. One applicator suffices: it installs in
+///    timestamp order and the watermark publishes only installed prefixes,
+///    so a second applicator could only install commits that stay invisible
+///    until the first catches up — it adds CPU, not catch-up speed (DESIGN.md
+///    has the measurement). Start records never block: the refresh
+///    transaction's snapshot is *defined* by its position in the emitted log
+///    (every previously emitted commit, exactly the set a BeginAtSnapshot at
+///    the current watermark target would pin), so PropStart only emits the
+///    local start record and moves on.
+///  - The **legacy transactional engine** (direct_apply = false), the
+///    paper-literal oracle: refresh transactions run through the full local
+///    concurrency control on Section 3.3's fixed applicator pool; the
 ///    refresher blocks each start on PendingQueue::WaitEmpty and applicators
 ///    serialize commits through PendingQueue::WaitHead.
 ///
@@ -117,9 +86,9 @@ class Secondary {
   BlockingQueue<PropagationRecord>* update_queue() { return &update_queue_; }
 
   void Start();
-  /// Stops the pipeline. Legacy engine: in-flight refresh transactions are
-  /// aborted. Direct-apply engine: commits whose timestamps were already
-  /// allocated are installed before the applicators exit (their commit
+  /// Stops the refresh threads. Legacy engine: in-flight refresh transactions
+  /// are aborted. Direct-apply engine: commits whose timestamps were already
+  /// allocated are installed before the applicator exits (their commit
   /// records are in the log, so abandoning them would wedge the visibility
   /// watermark); records still in the update queue are dropped either way.
   /// Call WaitForSeq first if the test/workload needs everything applied.
@@ -243,9 +212,9 @@ class Secondary {
     return load_ewma_.load(std::memory_order_relaxed);
   }
 
-  /// Number of gaps observed in the propagator-stamped record sequence
-  /// (diagnostic: counts dropped/duplicated records at stream joins, e.g.
-  /// restarts with a closed update queue).
+  /// Number of gaps observed in the propagator-stamped record sequence since
+  /// the last Start (diagnostic: counts dropped/duplicated records at stream
+  /// joins). Checked by the refresher, so both engines count.
   std::uint64_t stream_discontinuities() const {
     return stream_discontinuities_.load(std::memory_order_relaxed);
   }
@@ -282,7 +251,8 @@ class Secondary {
 
   /// Direct-apply instrumentation: number of store passes, total commits
   /// they covered (avg group size = commits / passes), and the largest
-  /// single group. All zero under the legacy engine.
+  /// single group (at most kGroupApplyLimit). All zero under the legacy
+  /// engine.
   std::uint64_t group_applies() const {
     return group_applies_.load(std::memory_order_relaxed);
   }
@@ -298,11 +268,13 @@ class Secondary {
   /// lock round-trip; bounds the latency of a Stop() racing a large burst.
   static constexpr std::size_t kRefresherBatchSize = 256;
 
-  /// Upper bound on commits the sequencer pushes through one
-  /// BeginExternalCommitBatch call (one clock-mutex hold). The batch is also
-  /// flushed whenever the reordered stream interleaves a start or abort, so
-  /// local log order always mirrors primary log order.
-  static constexpr std::size_t kSequencerBatch = 64;
+  /// Section 3.3's fixed applicator pool, legacy engine only. The direct
+  /// engine runs one applicator (see the class comment).
+  static constexpr std::size_t kLegacyApplicators = 4;
+
+  /// Upper bound on the run of consecutive refresh commits the direct
+  /// applicator group-applies in a single store pass.
+  static constexpr std::size_t kGroupApplyLimit = 32;
 
   /// Legacy engine task: a begun refresh transaction plus its updates.
   struct ApplyTask {
@@ -320,100 +292,6 @@ class Secondary {
     std::unique_ptr<storage::WriteSet> writes;
     Timestamp local_commit_ts = kInvalidTimestamp;
     Timestamp primary_commit_ts = kInvalidTimestamp;
-    /// Shard-occupancy bitmap of the write set (parallel pipeline only; the
-    /// serial path leaves it zero). See VersionedStore::ShardFootprint.
-    std::uint64_t footprint = 0;
-  };
-
-  /// Pipeline stage 1 input: a propagation record tagged with its gapless
-  /// local pipeline sequence number.
-  struct DecodeJob {
-    std::uint64_t seq = 0;
-    PropagationRecord record;
-  };
-
-  /// Pipeline stage 1 output: the record with all CPU work done — write set
-  /// built, shard footprint extracted — ready for ordered allocation.
-  struct DecodedRecord {
-    enum class Kind { kStart, kCommit, kAbort };
-    Kind kind = Kind::kStart;
-    TxnId txn_id = kInvalidTxnId;
-    Timestamp primary_ts = kInvalidTimestamp;  // start_ts / commit_ts
-    std::unique_ptr<storage::WriteSet> writes;  // commits only
-    std::uint64_t footprint = 0;                // commits only
-  };
-
-  /// A decoded commit awaiting its turn through the ordered section.
-  struct PendingCommit {
-    TxnId local_id = kInvalidTxnId;
-    std::unique_ptr<storage::WriteSet> writes;
-    Timestamp primary_ts = kInvalidTimestamp;
-    std::uint64_t footprint = 0;
-  };
-
-  /// Re-sequences decode-pool output back into pipeline-sequence order. The
-  /// ingest thread admits a sequence number only while it is inside a bounded
-  /// window past the sequencer's position, which backpressures ingest when
-  /// decoding or allocation falls behind instead of buffering without bound.
-  class ReorderBuffer {
-   public:
-    /// Blocks until `seq` fits in the window; false once closed.
-    bool Admit(std::uint64_t seq);
-    void Put(std::uint64_t seq, DecodedRecord record);
-    /// Pops the contiguous ready prefix, blocking until at least one record
-    /// is ready. Empty result means closed and fully drained.
-    std::vector<DecodedRecord> PopReady();
-    void Close();
-    /// Restores the initial open state (restart after Stop).
-    void Reset();
-
-   private:
-    /// In-flight bound: records admitted but not yet handed to the
-    /// sequencer. Large enough to keep the decode pool busy across bursts,
-    /// small enough that a stalled pipeline caps memory at window x record.
-    static constexpr std::uint64_t kWindow = 4096;
-
-    std::mutex mu_;
-    std::condition_variable ready_cv_;
-    std::condition_variable space_cv_;
-    std::map<std::uint64_t, DecodedRecord> pending_;
-    std::uint64_t next_ = 0;  // next sequence number the sequencer consumes
-    bool closed_ = false;
-  };
-
-  /// Hands applicators key-disjoint runs of allocated commits. Claiming is
-  /// head-prefix only: a run always starts at the oldest unclaimed commit,
-  /// and is claimable only while its shard footprint is disjoint from every
-  /// in-flight run's (busy mask). Consequences: (a) two concurrent ApplyBatch
-  /// calls never touch the same shard bit, so same-key version installs
-  /// always happen in increasing timestamp order; (b) every claimed bit is
-  /// owned by exactly one run, so completion clears with busy &= ~mask;
-  /// (c) progress is guaranteed — the head conflicts only with runs that are
-  /// actively installing and will complete.
-  class ApplyScheduler {
-   public:
-    struct Run {
-      std::vector<DirectTask> tasks;  // empty => closed and drained
-      std::uint64_t mask = 0;
-    };
-
-    void Submit(DirectTask task);
-    /// Blocks until the head run is claimable (or closed and drained), then
-    /// claims up to `limit` consecutive head tasks whose combined footprint
-    /// is disjoint from the busy mask. Tasks *within* a run may overlap each
-    /// other — they install in one ordered ApplyBatch pass.
-    Run ClaimRun(std::size_t limit);
-    void CompleteRun(std::uint64_t mask);
-    void Close();
-    void Reopen();
-    std::size_t depth() const;
-
-   private:
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<DirectTask> pending_;
-    std::uint64_t busy_ = 0;
-    bool closed_ = false;
   };
 
   void RefresherLoop();
@@ -421,20 +299,9 @@ class Secondary {
   void DirectRefreshRecord(PropagationRecord& record);
   void ApplicatorLoop();
   void DirectApplicatorLoop();
-
-  /// Parallel pipeline threads.
-  void IngestLoop();
-  void DecodeLoop();
-  void SequencerLoop();
-  void ParallelApplicatorLoop();
-  DecodedRecord DecodeRecord(PropagationRecord& record) const;
   /// Resolves the local txn id for a primary commit (normal start-record path
-  /// or the commit-without-start recovery); shared by both direct engines.
+  /// or the commit-without-start recovery).
   TxnId ResolveCommitTxn(TxnId primary_txn_id);
-  /// Pushes the accumulated commit batch through the ordered section: one
-  /// translate staging pass, one BeginExternalCommitBatch, one visibility
-  /// FIFO append, then submits every task to the apply scheduler.
-  void FlushCommitBatch(std::vector<PendingCommit>* batch);
 
   /// Newest local refresh-commit timestamp whose primary timestamp is
   /// <= `primary_snapshot` — the local snapshot at which a remote read must
@@ -449,31 +316,21 @@ class Secondary {
   /// Direct engine: pops the visibility FIFO up to the local watermark and
   /// advances seq(DBsec) to the newest covered primary commit.
   void AdvanceSeqToWatermark(Timestamp local_watermark);
-  /// Group-apply counter updates shared by both direct apply paths.
   void CountGroupApply(std::size_t batch_size);
 
   engine::Database* db_;
   SecondaryOptions options_;
-  /// True when this site runs the three-stage parallel replay pipeline
-  /// (direct_apply with decode_threads > 0). Fixed at construction.
-  bool parallel_engine_ = false;
 
   BlockingQueue<PropagationRecord> update_queue_;
   PendingQueue pending_queue_;  // legacy engine only
   BlockingQueue<ApplyTask> tasks_;
-  BlockingQueue<DirectTask> direct_tasks_;  // serial direct engine only
-
-  /// Parallel pipeline plumbing (unused by the other engines).
-  BlockingQueue<DecodeJob> decode_queue_;
-  ReorderBuffer reorder_;
-  ApplyScheduler scheduler_;
+  BlockingQueue<DirectTask> direct_tasks_;  // direct engine only
 
   /// Legacy engine: refresh transactions begun on start records, keyed by
   /// primary TxnId. Touched only by the refresher thread.
   std::map<TxnId, std::unique_ptr<txn::Transaction>> refresh_txns_;
-  /// Direct engines: local txn ids of externally started transactions, keyed
-  /// by primary TxnId. Touched only by the refresher thread (serial) or the
-  /// sequencer thread (parallel) — never both in the same configuration.
+  /// Direct engine: local txn ids of externally started transactions, keyed
+  /// by primary TxnId. Touched only by the refresher thread.
   std::map<TxnId, TxnId> direct_txns_;
 
   std::atomic<Timestamp> applied_seq_{0};
@@ -481,8 +338,8 @@ class Secondary {
   mutable std::condition_variable seq_cv_;
 
   /// Direct engine: refresh commits awaiting visibility, in allocation (==
-  /// local timestamp == primary commit) order. Applicators pop the prefix
-  /// the watermark has passed.
+  /// local timestamp == primary commit) order. The applicator pops the
+  /// prefix the watermark has passed.
   mutable std::mutex visibility_mu_;
   std::deque<std::pair<Timestamp, Timestamp>> visibility_fifo_;
 
@@ -518,8 +375,6 @@ class Secondary {
   std::atomic<std::uint64_t> max_group_apply_{0};
 
   std::thread refresher_;
-  std::vector<std::thread> decoders_;
-  std::thread sequencer_;
   std::vector<std::thread> applicators_;
   bool started_ = false;
 };

@@ -51,14 +51,6 @@ std::size_t VersionedStore::ShardOf(const std::string& key) const {
   return static_cast<std::size_t>(Fnv1a64(key)) & shard_mask_;
 }
 
-std::uint64_t VersionedStore::ShardFootprint(const WriteSet& writes) const {
-  std::uint64_t mask = 0;
-  for (const auto& [key, w] : writes.entries()) {
-    mask |= std::uint64_t{1} << (ShardOf(key) & 63);
-  }
-  return mask;
-}
-
 const VersionedStore::VersionNode* VersionedStore::VisibleVersion(
     const VersionNode* head, Timestamp snapshot) {
   // Newest-first walk: the first node at or below the snapshot is the
@@ -152,7 +144,7 @@ void VersionedStore::InsertVersionSorted(KeyNode* node, Timestamp commit_ts,
     return;
   }
   if (head->commit_ts == commit_ts) return;  // replayed duplicate
-  // A later commit's version landed first (concurrent applicator runs);
+  // A later commit's version landed first (ApplyBatch allows it);
   // splice at the sorted position. Readers racing the splice see the chain
   // with or without the new node — both are consistent, and the visibility
   // watermark keeps the node below any issued snapshot until its commit's

@@ -134,13 +134,11 @@ class VersionedStore {
   /// is taken exactly once for the whole batch, instead of once per commit.
   ///
   /// `batch` must be in increasing commit-timestamp order. Unlike Apply,
-  /// versions may arrive at a key *out of order across calls* — the direct-
-  /// apply refresh engine installs independent runs from concurrent
-  /// applicator threads, and two non-overlapping transactions that wrote the
-  /// same key may land in either order — so versions are spliced in at their
-  /// sorted chain position. Readers cannot observe the transient reordering:
-  /// the commit pipeline's visibility watermark only passes a timestamp once
-  /// every commit at or below it has fully installed.
+  /// versions may arrive at a key *out of order across calls*, so they are
+  /// spliced in at their sorted chain position. Readers cannot observe a
+  /// transient reordering: the commit pipeline's visibility watermark only
+  /// passes a timestamp once every commit at or below it has fully
+  /// installed.
   void ApplyBatch(const std::vector<TimestampedWrites>& batch);
 
   /// Key-ordered scan of all keys in [begin, end) visible at `snapshot`,
@@ -195,15 +193,6 @@ class VersionedStore {
   /// Shard index `key` hashes to; stable for the lifetime of the store. The
   /// TxnManager keys its per-shard last-commit watermarks off this mapping.
   std::size_t ShardOf(const std::string& key) const;
-
-  /// 64-bit shard-occupancy bitmap of a write set: bit (ShardOf(key) mod 64)
-  /// is set for every key the set touches. Two write sets with disjoint
-  /// footprints touch disjoint shards (the converse may not hold when the
-  /// store has more than 64 shards — the fold is conservative, so a false
-  /// collision only costs parallelism, never correctness). The secondary's
-  /// key-disjoint apply scheduler runs non-overlapping runs concurrently
-  /// based on these masks.
-  std::uint64_t ShardFootprint(const WriteSet& writes) const;
 
  private:
   /// One version of one key. Immutable after publication except `next`,
@@ -275,9 +264,9 @@ class VersionedStore {
 /// Partition index of `key` under hash partitioning: a stable 64-bit hash
 /// reduced modulo `num_partitions`. Uses a seed distinct from ShardOf's so
 /// partition placement stays decorrelated from intra-store shard placement
-/// (a partition's keys still spread across all store shards). Lives next to
-/// ShardFootprint because both are key-placement primitives shared by the
-/// store and the replication layer.
+/// (a partition's keys still spread across all store shards). Lives here
+/// because it is a key-placement primitive shared by the store and the
+/// replication layer.
 std::size_t HashPartitionOfKey(std::string_view key,
                                std::size_t num_partitions);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "common/logging.h"
 #include "replication/tcp_link.h"
@@ -471,9 +472,7 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
       }
     }
     replication::SecondaryOptions sec_opts;
-    sec_opts.applicator_threads = config_.applicator_threads;
     sec_opts.direct_apply = config_.direct_apply_refresh;
-    sec_opts.decode_threads = config_.decode_threads;
     site->replica = std::make_unique<replication::Secondary>(site->db.get(),
                                                              sec_opts);
     if (boot_local != kInvalidTimestamp) {
@@ -945,6 +944,16 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   // Fresh copy of the primary database (Section 3.4's periodic quiesced
   // copy, taken on demand here).
   engine::Database::Checkpoint checkpoint = primary_db_.TakeCheckpoint();
+  // The checkpoint can include commits the propagator has not consumed yet,
+  // and attaching at its LSN requires the propagator to have reached it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (primary_.propagator()->position() < checkpoint.lsn) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return Status::TimedOut("propagator did not reach the checkpoint LSN");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   const replication::SinkFilter filter = FilterFor(i);
   if (filter.active()) {
     // A partial replica installs only its covered partitions — uncovered
@@ -966,9 +975,7 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   if (!install.ok()) return install.status();
 
   replication::SecondaryOptions sec_opts;
-  sec_opts.applicator_threads = config_.applicator_threads;
   sec_opts.direct_apply = config_.direct_apply_refresh;
-  sec_opts.decode_threads = config_.decode_threads;
   auto fresh_replica =
       std::make_unique<replication::Secondary>(fresh_db.get(), sec_opts);
   // Dummy-transaction re-seed of seq(DBsec) (Section 4): the checkpoint

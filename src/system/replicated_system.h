@@ -33,19 +33,12 @@ struct SystemConfig {
   /// Which global guarantee client transactions get (Section 6's three
   /// algorithms).
   session::Guarantee guarantee = session::Guarantee::kStrongSessionSI;
-  /// Applicator pool size at each secondary (Section 3.3).
-  std::size_t applicator_threads = 4;
   /// Refresh engine at each secondary: true (default) uses the direct-apply
   /// engine (pre-allocated local commit timestamps + group installs into the
   /// store, visibility via the commit watermark); false uses the legacy
-  /// transactional refresh path, kept for differential testing.
+  /// transactional refresh path, kept as the paper-literal oracle for
+  /// differential testing.
   bool direct_apply_refresh = true;
-  /// Decode-pool size at each secondary's direct-apply engine. > 0 (the
-  /// default) selects the parallel replay pipeline (decode pool -> batched
-  /// ordered timestamp allocation -> key-disjoint concurrent group-apply);
-  /// 0 selects the serial single-refresher direct path. Ignored when
-  /// direct_apply_refresh is false.
-  std::size_t decode_threads = 2;
   /// 0 = continuous propagation; > 0 models the paper's propagation_delay.
   std::chrono::milliseconds propagation_batch_interval{0};
   /// Per-record network latency on the primary -> secondary path (a

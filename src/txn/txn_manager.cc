@@ -305,39 +305,6 @@ Timestamp TxnManager::BeginExternalCommit(TxnId id,
   return commit_ts;
 }
 
-std::vector<Timestamp> TxnManager::BeginExternalCommitBatch(
-    const std::vector<ExternalCommitRequest>& batch) {
-  std::vector<Timestamp> allocated;
-  allocated.reserve(batch.size());
-  if (batch.empty()) return allocated;
-  std::lock_guard<std::mutex> lock(clock_mu_);
-  for (const ExternalCommitRequest& req : batch) {
-    const Timestamp commit_ts = ++clock_;
-    for (const auto& [key, w] : req.writes->entries()) {
-      shard_last_commit_[store_->ShardOf(key)] = commit_ts;
-      if (observer_ != nullptr) {
-        observer_->OnUpdate(req.id, key, w.value, w.deleted);
-      }
-    }
-    installing_.push_back(PendingInstall{commit_ts, req.writes});
-    if (observer_ != nullptr) observer_->OnCommit(req.id, commit_ts, *req.writes);
-    allocated.push_back(commit_ts);
-  }
-  // Stage the whole run in the visibility pipeline under one visible_mu_
-  // hold. Staging is normally interleaved with allocation (StageInflightCommit
-  // under clock_mu_), but clock_mu_ is held across the entire loop above, so
-  // no other commit can have been allocated in between and appending the run
-  // here keeps the inflight deque sorted by timestamp.
-  {
-    std::lock_guard<std::mutex> visible_lock(visible_mu_);
-    for (const Timestamp ts : allocated) {
-      inflight_commits_.push_back(InflightCommit{ts, /*installed=*/false});
-    }
-    last_allocated_commit_ = allocated.back();
-  }
-  return allocated;
-}
-
 Timestamp TxnManager::FinishExternalCommit(Timestamp commit_ts) {
   Timestamp new_visible;
   {

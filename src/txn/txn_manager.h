@@ -167,24 +167,6 @@ class TxnManager {
   /// Step 3 of the protocol above. Returns the allocated commit timestamp.
   Timestamp BeginExternalCommit(TxnId id, const storage::WriteSet& writes);
 
-  /// One element of a batched step 3: an externally-applied transaction and
-  /// its write set (same lifetime contract as BeginExternalCommit's `ws`).
-  struct ExternalCommitRequest {
-    TxnId id = kInvalidTxnId;
-    const storage::WriteSet* writes = nullptr;
-  };
-
-  /// Batched step 3: allocates commit timestamps for a *run* of external
-  /// commits under a single clock-mutex hold (and stages them in the
-  /// visibility pipeline under a single visible-mutex hold), instead of one
-  /// lock round-trip per commit. Timestamps are issued in `batch` order, so
-  /// the caller's order is the commit order — the secondary's replay
-  /// sequencer passes runs of consecutive primary commits here, keeping its
-  /// ordered section as small as one mutex acquisition per run. Returns the
-  /// allocated timestamps, index-aligned with `batch`.
-  std::vector<Timestamp> BeginExternalCommitBatch(
-      const std::vector<ExternalCommitRequest>& batch);
-
   /// Step 5: marks `commit_ts` installed, advances the visibility watermark
   /// over the installed prefix and unlists the commit. Never blocks (unlike
   /// the client commit path there is no per-transaction acknowledgement to
@@ -260,12 +242,14 @@ class TxnManager {
   /// at the end of PublishCommit; the owning Transaction outlives the entry,
   /// so `writes` is always safe to read under clock_mu_. Validation needs
   /// the list because the store cannot answer for commits that have not
-  /// finished installing.
+  /// finished installing. A deque, because a secondary's refresher can
+  /// allocate thousands of external commits ahead of the applicator, which
+  /// then unlists them from the front in timestamp order.
   struct PendingInstall {
     Timestamp commit_ts;
     const storage::WriteSet* writes;
   };
-  std::vector<PendingInstall> installing_;
+  std::deque<PendingInstall> installing_;
 
   /// Commit timestamps allocated but not yet fully installed, and the
   /// watermark-publication plumbing. Commits are staged in timestamp order

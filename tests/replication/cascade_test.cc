@@ -19,12 +19,12 @@ TEST(CascadeTest, TertiaryConvergesThroughMiddleTier) {
   engine::Database leaf_db(engine::DatabaseOptions{2, "leaf", true});
 
   Primary primary(&primary_db);
-  Secondary mid(&mid_db, SecondaryOptions{2});
+  Secondary mid(&mid_db);
   primary.AttachSecondary(&mid);
 
   // Second tier: a propagator tailing the *mid* site's log.
   Propagator mid_propagator(mid_db.log());
-  Secondary leaf(&leaf_db, SecondaryOptions{2});
+  Secondary leaf(&leaf_db);
   mid_propagator.AttachSink(leaf.update_queue());
 
   mid.Start();

@@ -1,11 +1,10 @@
 // Differential and regression tests for the replay engines: the legacy
-// transactional engine, the serial direct-apply engine, and the parallel
-// replay pipeline (at several decode/apply widths) must produce
-// byte-identical replica states and state chains for the same propagated
-// workload (aborts, deletes, and commit-without-start recovery included),
-// the local->primary translation table must stay bounded under pruning, and
-// the shared-mutex translation path must be clean under contention
-// (exercised hardest under TSan).
+// transactional engine (the paper-literal oracle) and the direct-apply
+// engine must produce byte-identical replica states and state chains for the
+// same propagated workload (aborts, deletes, and commit-without-start
+// recovery included), the local->primary translation table must stay bounded
+// under pruning, and the shared-mutex translation path must be clean under
+// contention (exercised hardest under TSan).
 
 #include <gtest/gtest.h>
 
@@ -29,33 +28,24 @@ constexpr auto kWait = std::chrono::milliseconds(15000);
 struct EngineParam {
   const char* name;
   bool direct_apply;
-  std::size_t decode_threads;
-  std::size_t applicator_threads;
 };
 
 SecondaryOptions MakeOptions(const EngineParam& p) {
-  SecondaryOptions opts;
-  opts.applicator_threads = p.applicator_threads;
-  opts.direct_apply = p.direct_apply;
-  opts.decode_threads = p.decode_threads;
-  return opts;
+  return SecondaryOptions{p.direct_apply};
 }
 
 const EngineParam kAllEngines[] = {
-    {"Legacy", false, 0, 4},
-    {"DirectSerial", true, 0, 4},
-    {"Parallel1", true, 1, 1},
-    {"Parallel2", true, 2, 2},
-    {"Parallel4", true, 4, 4},
+    {"Legacy", false},
+    {"Direct", true},
 };
 
 std::string EngineName(const ::testing::TestParamInfo<EngineParam>& info) {
   return info.param.name;
 }
 
-// The core differential: every engine configuration replays the same
-// concurrent primary workload and must land on the same state, the same
-// per-commit state chain, and the same refresh-commit count.
+// The core differential: every engine replays the same concurrent primary
+// workload and must land on the same state, the same per-commit state chain,
+// and the same refresh-commit count.
 TEST(DirectApplyTest, AllReplayEnginesProduceIdenticalState) {
   engine::Database primary_db;
   Primary primary(&primary_db);
@@ -170,8 +160,7 @@ TEST_P(ReplayEngineTest, CommitWithoutStartRecovers) {
 }
 
 // A stop/restart cycle mid-stream drops queued records (Section 3.4's
-// failure model) and every engine must keep working afterwards; the parallel
-// pipeline must also tear down and rebuild its stages cleanly.
+// failure model) and every engine must keep working afterwards.
 TEST_P(ReplayEngineTest, SurvivesStopStartCycle) {
   engine::Database primary_db;
   Primary primary(&primary_db);
@@ -199,6 +188,27 @@ TEST_P(ReplayEngineTest, SurvivesStopStartCycle) {
   EXPECT_EQ(state.at("b19"), "v");
 }
 
+// The propagator stamps gapless stream positions; a record stream that skips
+// one must be counted as exactly one discontinuity by either engine, and the
+// records on both sides of the gap must still apply.
+TEST_P(ReplayEngineTest, CountsOneSeqGapAsOneDiscontinuity) {
+  engine::Database sec_db;
+  Secondary sec(&sec_db, MakeOptions(GetParam()));
+  sec.Start();
+  auto* queue = sec.update_queue();
+  queue->Push(PropStart{1, 1, /*seq=*/0});
+  queue->Push(PropCommit{1, 2, {storage::Write{"a", "1"}}, /*seq=*/1});
+  // seq 2 never arrives.
+  queue->Push(PropStart{2, 3, /*seq=*/3});
+  queue->Push(PropCommit{2, 4, {storage::Write{"b", "2"}}, /*seq=*/4});
+  ASSERT_TRUE(sec.WaitForSeq(4, kWait));
+  sec.Stop();
+
+  EXPECT_EQ(sec.stream_discontinuities(), 1u);
+  EXPECT_EQ(sec.refreshed_count(), 2u);
+  EXPECT_EQ(sec_db.Get("b").value(), "2");
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, ReplayEngineTest,
                          ::testing::ValuesIn(kAllEngines), EngineName);
 
@@ -209,7 +219,7 @@ TEST(DirectApplyTest, TranslationTableIsPrunedToHorizon) {
   engine::Database primary_db;
   Primary primary(&primary_db);
   engine::Database sec_db(engine::DatabaseOptions{1, "sec", true});
-  Secondary sec(&sec_db, SecondaryOptions{2, /*direct_apply=*/true});
+  Secondary sec(&sec_db, SecondaryOptions{/*direct_apply=*/true});
   primary.AttachSecondary(&sec);
   sec.Start();
   primary.Start();
@@ -241,7 +251,7 @@ TEST(DirectApplyTest, ContendedTranslationReadsDuringRefresh) {
   engine::Database primary_db;
   Primary primary(&primary_db);
   engine::Database sec_db(engine::DatabaseOptions{1, "sec", true});
-  Secondary sec(&sec_db, SecondaryOptions{4, /*direct_apply=*/true});
+  Secondary sec(&sec_db, SecondaryOptions{/*direct_apply=*/true});
   primary.AttachSecondary(&sec);
   sec.Start();
   primary.Start();
@@ -280,13 +290,13 @@ TEST(DirectApplyTest, ContendedTranslationReadsDuringRefresh) {
 
 // Group-apply accounting: every refresh commit is covered by exactly one
 // store pass, and passes never exceed commits. A pre-built backlog gives the
-// single applicator a chance to coalesce (but the assertions hold for any
-// batching the scheduler produces).
+// applicator a chance to coalesce (but the assertions hold for any batching
+// it produces).
 TEST(DirectApplyTest, GroupApplyCountersAccountForEveryCommit) {
   engine::Database primary_db;
   Primary primary(&primary_db);
   engine::Database sec_db(engine::DatabaseOptions{1, "sec", true});
-  Secondary sec(&sec_db, SecondaryOptions{1, /*direct_apply=*/true});
+  Secondary sec(&sec_db, SecondaryOptions{/*direct_apply=*/true});
   primary.AttachSecondary(&sec);
 
   constexpr std::uint64_t kCommits = 32;
@@ -313,7 +323,7 @@ TEST(DirectApplyTest, LegacyEngineReportsNoGroupApplies) {
   engine::Database primary_db;
   Primary primary(&primary_db);
   engine::Database sec_db(engine::DatabaseOptions{1, "sec", true});
-  Secondary sec(&sec_db, SecondaryOptions{2, /*direct_apply=*/false});
+  Secondary sec(&sec_db, SecondaryOptions{/*direct_apply=*/false});
   primary.AttachSecondary(&sec);
   sec.Start();
   primary.Start();

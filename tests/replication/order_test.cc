@@ -48,7 +48,7 @@ TEST(RefreshOrderTest, LemmasHoldOverConcurrentWorkload) {
   engine::Database primary_db;
   Primary primary(&primary_db);
   engine::Database secondary_db(engine::DatabaseOptions{1, "sec", true});
-  Secondary secondary(&secondary_db, SecondaryOptions{4});
+  Secondary secondary(&secondary_db);
   primary.AttachSecondary(&secondary);
   secondary.Start();
   primary.Start();
@@ -126,7 +126,7 @@ TEST(RefreshOrderTest, RefreshTransactionsOverlapLocally) {
   engine::Database primary_db;
   Primary primary(&primary_db);
   engine::Database secondary_db(engine::DatabaseOptions{1, "sec", true});
-  Secondary secondary(&secondary_db, SecondaryOptions{4});
+  Secondary secondary(&secondary_db);
   primary.AttachSecondary(&secondary);
 
   // Build an overlapping batch at the primary BEFORE starting replication,

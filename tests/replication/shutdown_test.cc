@@ -16,7 +16,7 @@ TEST(ShutdownTest, StopWithDeepBacklogDoesNotHang) {
   engine::Database primary_db;
   engine::Database secondary_db;
   Primary primary(&primary_db);
-  Secondary secondary(&secondary_db, SecondaryOptions{2});
+  Secondary secondary(&secondary_db);
   primary.AttachSecondary(&secondary);
 
   // Build a large backlog before the secondary even starts.
@@ -44,7 +44,7 @@ TEST(ShutdownTest, StopAndRestartPipelineResumesCleanly) {
   engine::Database primary_db;
   engine::Database secondary_db;
   Primary primary(&primary_db);
-  Secondary secondary(&secondary_db, SecondaryOptions{2});
+  Secondary secondary(&secondary_db);
   primary.AttachSecondary(&secondary);
   primary.Start();
   secondary.Start();
@@ -77,7 +77,7 @@ TEST(ShutdownTest, RestartedPipelineReplicatesNewCommits) {
   engine::Database primary_db;
   engine::Database secondary_db;
   Primary primary(&primary_db);
-  Secondary secondary(&secondary_db, SecondaryOptions{2});
+  Secondary secondary(&secondary_db);
   primary.AttachSecondary(&secondary);
   primary.Start();
   secondary.Start();

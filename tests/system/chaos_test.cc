@@ -21,14 +21,11 @@ namespace lazysi {
 namespace system {
 namespace {
 
-/// One replay-engine configuration: the legacy transactional engine, the
-/// serial direct-apply engine, or the parallel replay pipeline at several
-/// decode/apply widths — so the chaos transport composes with every engine.
+/// One replay-engine configuration: the legacy transactional engine or the
+/// direct-apply engine — so the chaos transport composes with every engine.
 struct ChaosEngineParam {
   const char* name;
   bool direct_apply;
-  std::size_t decode_threads;
-  std::size_t applicator_threads;
   /// Partial replication shape; 2 secondaries / 1 partition = full.
   std::size_t secondaries = 2;
   std::size_t num_partitions = 1;
@@ -39,29 +36,24 @@ struct ChaosEngineParam {
 };
 
 const ChaosEngineParam kChaosEngines[] = {
-    {"LegacyRefresh", false, 0, 4},
-    {"DirectSerial", true, 0, 4},
-    {"Parallel1", true, 1, 1},
-    {"Parallel2", true, 2, 2},
-    {"Parallel4", true, 4, 4},
+    {"LegacyRefresh", false},
+    {"Direct", true},
     // The chaos transport composed with partition filtering: every sink
     // sees a different filtered stream, each repaired independently.
-    {"Parallel2Partitioned", true, 2, 2, 4, 4, 2},
-    {"LegacyPartitioned", false, 0, 4, 4, 4, 2},
+    {"DirectPartitioned", true, 4, 4, 2},
+    {"LegacyPartitioned", false, 4, 4, 2},
     // Same fault schedules, but the frames genuinely cross kernel loopback
     // sockets: faults are injected before the write, and the reliable
     // channel must repair them on a real wire.
-    {"TcpParallel2", true, 2, 2, 2, 1, 0, /*tcp=*/true},
-    {"TcpLegacy", false, 0, 4, 2, 1, 0, /*tcp=*/true},
-    {"TcpParallel2Partitioned", true, 2, 2, 4, 4, 2, /*tcp=*/true},
+    {"TcpDirect", true, 2, 1, 0, /*tcp=*/true},
+    {"TcpLegacy", false, 2, 1, 0, /*tcp=*/true},
+    {"TcpDirectPartitioned", true, 4, 4, 2, /*tcp=*/true},
 };
 
 class ChaosEngineTest : public ::testing::TestWithParam<ChaosEngineParam> {
  protected:
   void ApplyEngine(SystemConfig* config) const {
     config->direct_apply_refresh = GetParam().direct_apply;
-    config->decode_threads = GetParam().decode_threads;
-    config->applicator_threads = GetParam().applicator_threads;
     config->num_secondaries = GetParam().secondaries;
     config->num_partitions = GetParam().num_partitions;
     config->partition_replication = GetParam().partition_replication;
