@@ -18,10 +18,8 @@
 
 #include "engine/checkpointer.h"
 #include "engine/database.h"
-#include "replication/chaos_link.h"
 #include "replication/primary.h"
 #include "replication/propagator.h"
-#include "replication/reliable_channel.h"
 #include "replication/secondary.h"
 #include "replication/tcp_replication.h"
 #include "simmodel/model.h"
@@ -99,31 +97,17 @@ std::uint64_t CommitRounds(engine::Database* db, int first_round, int rounds,
   return commits;
 }
 
-// A fresh secondary fed by a propagator that replays `log` from its start,
-// either by in-process handoff (loss 0) or through a ReliableChannel over a
-// ChaosLink that drops frames with probability `loss`. The propagator is not
-// started, so the caller decides when replay begins.
+// A fresh secondary fed in process by a propagator that replays `log` from
+// its start. The propagator is not started, so the caller decides when
+// replay begins.
 struct ReplayRig {
-  ReplayRig(lazysi::wal::LogicalLog* log, bool direct, double loss)
+  ReplayRig(lazysi::wal::LogicalLog* log, bool direct)
       : sec(&sec_db, replication::SecondaryOptions{direct}), prop(log) {
     sec.Start();
-    if (loss > 0.0) {
-      replication::FaultProfile faults;
-      faults.drop_probability = loss;
-      link = std::make_unique<replication::ChaosLink>(faults, 42);
-      replication::ReliableChannel::Options opts;
-      opts.backoff_initial = std::chrono::milliseconds(1);
-      opts.backoff_max = std::chrono::milliseconds(16);
-      reliable = std::make_unique<replication::ReliableChannel>(
-          &prop, link.get(), sec.update_queue(), opts);
-      reliable->Start();
-    } else {
-      prop.AttachSink(sec.update_queue());
-    }
+    prop.AttachSink(sec.update_queue());
   }
   ~ReplayRig() {
     prop.Stop();
-    if (reliable) reliable->Stop();
     sec.Stop();
   }
   ReplayRig(const ReplayRig&) = delete;
@@ -132,8 +116,6 @@ struct ReplayRig {
   engine::Database sec_db{engine::DatabaseOptions{1, "sec", false}};
   replication::Secondary sec;
   replication::Propagator prop;
-  std::unique_ptr<replication::ChaosLink> link;
-  std::unique_ptr<replication::ReliableChannel> reliable;
 };
 
 // Replay catch-up and freshness of one engine. Each iteration replays the
@@ -142,17 +124,14 @@ struct ReplayRig {
 // (teardown, notably the propagator's 50 ms poll-interval shutdown, is
 // excluded).
 //
-// Then, on the in-process rows, p95_lag_ts: a caught-up secondary follows a
-// primary that commits one round (8 commits, 16 timestamps) every
-// kRoundPeriod on a fixed schedule, and each round's end samples the lag —
-// primary latest commit ts minus seq(DBsec), in timestamp units. A replica
-// that keeps up has applied every earlier round by then, so the p95 is one
-// round (16); it rises once more than 5% of rounds find the previous round
-// still unapplied. The lossy rows skip this phase: there the lag follows the
-// reliable channel's retransmission backoff, and its p95 spread 32-321 over
-// repeated runs of identical code, so it could not gate replay.
-void ReplayCatchup(benchmark::State& state, bool direct, double loss,
-                   int rounds, bool mixed) {
+// Then p95_lag_ts: a caught-up secondary follows a primary that commits one
+// round (8 commits, 16 timestamps) every kRoundPeriod on a fixed schedule,
+// and each round's end samples the lag — primary latest commit ts minus
+// seq(DBsec), in timestamp units. A replica that keeps up has applied every
+// earlier round by then, so the p95 is one round (16); it rises once more
+// than 5% of rounds find the previous round still unapplied.
+void ReplayCatchup(benchmark::State& state, bool direct, int rounds,
+                   bool mixed) {
   constexpr auto kRoundPeriod = std::chrono::microseconds(1000);
   constexpr int kSteadyRounds = 2000;
   constexpr auto kTimeout = std::chrono::milliseconds(60000);
@@ -162,7 +141,7 @@ void ReplayCatchup(benchmark::State& state, bool direct, double loss,
   const std::uint64_t commits = CommitRounds(&primary_db, 0, rounds, mixed);
   const lazysi::Timestamp target = primary_db.LatestCommitTs();
   for (auto _ : state) {
-    ReplayRig rig(primary_db.log(), direct, loss);
+    ReplayRig rig(primary_db.log(), direct);
     const auto begin = std::chrono::steady_clock::now();
     rig.prop.Start();
     const bool ok = rig.sec.WaitForSeq(target, kTimeout);
@@ -175,9 +154,8 @@ void ReplayCatchup(benchmark::State& state, bool direct, double loss,
     }
   }
   state.SetItemsProcessed(state.iterations() * commits);
-  if (loss > 0.0) return;
 
-  ReplayRig rig(primary_db.log(), direct, /*loss=*/0.0);
+  ReplayRig rig(primary_db.log(), direct);
   rig.prop.Start();
   if (!rig.sec.WaitForSeq(target, kTimeout)) {
     state.SkipWithError("secondary failed to catch up within 60s");
@@ -204,22 +182,21 @@ void ReplayCatchup(benchmark::State& state, bool direct, double loss,
 }
 
 void BM_RefreshCatchup(benchmark::State& state) {
-  // The direct-vs-legacy engine comparison on the contended backlog, with
-  // records handed over in process (loss_pct 0) or crossing a lossy link.
-  ReplayCatchup(state, /*direct=*/state.range(0) != 0,
-                /*loss=*/static_cast<double>(state.range(1)) / 100.0,
-                /*rounds=*/100, /*mixed=*/false);
+  // The direct-vs-legacy engine comparison on the contended backlog.
+  ReplayCatchup(state, /*direct=*/state.range(0) != 0, /*rounds=*/100,
+                /*mixed=*/false);
 }
 BENCHMARK(BM_RefreshCatchup)
-    ->ArgNames({"direct", "loss_pct"})
-    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"direct"})
+    ->Arg(0)
+    ->Arg(1)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelReplayCatchup(benchmark::State& state) {
   // The same comparison on a longer backlog with deletes and aborts.
-  ReplayCatchup(state, /*direct=*/state.range(0) != 0, /*loss=*/0.0,
-                /*rounds=*/150, /*mixed=*/true);
+  ReplayCatchup(state, /*direct=*/state.range(0) != 0, /*rounds=*/150,
+                /*mixed=*/true);
 }
 BENCHMARK(BM_ParallelReplayCatchup)
     ->ArgNames({"direct"})
@@ -319,28 +296,16 @@ BENCHMARK(BM_ReadRoutingFreshVsBlind)
 
 void BM_ChaosTransportThroughput(benchmark::State& state) {
   // Primary-commit -> secondary-applied throughput when every record crosses
-  // the ReliableChannel-over-ChaosLink path (encode + CRC + ack machinery on
-  // the hot path) at 0% / 1% / 5% frame loss. Arg is loss in percent; the
-  // 0% row isolates the cost of the reliability layer itself, the lossy rows
-  // add retransmission.
+  // the replication stream (listener -> loopback TCP -> receiver) at 0% / 1%
+  // / 5% frame loss. Arg is loss in percent; the 0% row isolates the cost of
+  // the stream itself, the lossy rows add a reconnect and a sync-point
+  // replay per lost frame.
   SystemConfig config;
   config.num_secondaries = 1;
   config.guarantee = Guarantee::kWeakSI;
+  config.transport_tcp = true;
   config.transport_faults.drop_probability =
       static_cast<double>(state.range(0)) / 100.0;
-  // Make the profile non-trivially "any()" even at 0% loss so the chaos
-  // path is exercised: corrupt nothing, drop per the arg, but keep the
-  // link + channel in the pipeline.
-  config.transport_faults.duplicate_probability = 0.0;
-  config.transport_faults.corrupt_probability = 0.0;
-  config.transport_faults.disconnect_probability = 0.0;
-  if (!config.transport_faults.any()) {
-    // 0% row: an all-zero profile would bypass the transport; keep it on
-    // the wire with a fault rate too small to ever fire in practice.
-    config.transport_faults.drop_probability = 1e-12;
-  }
-  config.transport_backoff_initial = std::chrono::milliseconds(1);
-  config.transport_backoff_max = std::chrono::milliseconds(16);
   ReplicatedSystem sys(config);
   sys.Start();
   auto client = sys.ConnectTo(0);

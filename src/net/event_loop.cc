@@ -32,10 +32,13 @@ EventLoop::~EventLoop() {
 
 void EventLoop::Start() {
   if (started_.exchange(true, std::memory_order_acq_rel)) return;
-  thread_ = std::thread([this] { LoopBody(); });
-  // Callers may Post immediately after Start; running_ flips inside
-  // LoopBody before the first epoll_wait, and Post's eventfd write is
-  // valid regardless, so no handshake is needed here.
+  std::promise<void> ready;
+  std::future<void> ready_fut = ready.get_future();
+  thread_ = std::thread([this, &ready] { LoopBody(&ready); });
+  // InLoop and PostAndWait read running_ and loop_tid_; until the loop
+  // thread has set them, a PostAndWait would run its task inline on the
+  // caller.
+  ready_fut.wait();
 }
 
 void EventLoop::Stop() {
@@ -215,9 +218,10 @@ int EventLoop::NextTimeoutMs() {
   return static_cast<int>(kWheelSlots) * kTickMs;
 }
 
-void EventLoop::LoopBody() {
+void EventLoop::LoopBody(std::promise<void>* ready) {
   loop_tid_ = std::this_thread::get_id();
   running_.store(true, std::memory_order_release);
+  ready->set_value();
   epoll_event events[64];
   std::vector<Task> due;
   while (!stop_.load(std::memory_order_acquire)) {

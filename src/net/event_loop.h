@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -48,7 +49,8 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Spawns the loop thread. Idempotent.
+  /// Spawns the loop thread and returns once it runs, so InLoop and
+  /// PostAndWait see it. Idempotent.
   void Start();
 
   /// Stops and joins the loop thread. Must not be called from the loop
@@ -108,7 +110,8 @@ class EventLoop {
     Task fn;
   };
 
-  void LoopBody();
+  /// Signals `ready` once running_ and loop_tid_ are set.
+  void LoopBody(std::promise<void>* ready);
   void RunTasks();
   /// Moves due timers into `due`; advances the wheel cursor to wall time.
   void CollectDueTimers(std::vector<Task>* due);

@@ -2,18 +2,95 @@
 #define LAZYSI_REPLICATION_FRAMED_SOCKET_H_
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "replication/tcp_link.h"
-
 namespace lazysi {
 namespace replication {
 
-/// Plain-socket plumbing shared by every TCP-speaking component (TcpLink,
-/// the cross-process replication stream, the client-API server). IPv4 only —
+/// Hard ceiling on one length-prefixed TCP frame. A propagation record is a
+/// handful of keys and values; anything this large is a corrupt or hostile
+/// length prefix, and honoring it would turn one flipped bit into a
+/// multi-gigabyte allocation.
+constexpr std::size_t kMaxTcpFrameBytes = 16u * 1024 * 1024;
+
+/// Appends one wire frame — a 4-byte little-endian payload length followed
+/// by the payload bytes — to `wire`. The inverse of TcpFramer.
+inline void AppendTcpFrame(std::string* wire, std::string_view payload) {
+  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+  char prefix[4];
+  prefix[0] = static_cast<char>(len & 0xff);
+  prefix[1] = static_cast<char>((len >> 8) & 0xff);
+  prefix[2] = static_cast<char>((len >> 16) & 0xff);
+  prefix[3] = static_cast<char>((len >> 24) & 0xff);
+  wire->append(prefix, 4);
+  wire->append(payload.data(), payload.size());
+}
+
+/// Incremental decoder for the length-prefixed TCP framing. Feed() raw bytes
+/// exactly as they come off the socket — in any fragmentation, including one
+/// byte at a time — and Next() yields each complete payload in order. A
+/// length prefix above the clamp poisons the stream permanently: framing
+/// carries no checksum (TCP's own checksum covers the bytes), so after a
+/// bad length there is no way to find the next frame boundary, and the
+/// only safe reaction is to drop the connection.
+class TcpFramer {
+ public:
+  explicit TcpFramer(std::size_t max_frame_bytes = kMaxTcpFrameBytes)
+      : max_frame_(max_frame_bytes) {}
+
+  /// Appends raw stream bytes. Returns false once the stream is poisoned
+  /// (the bytes are discarded).
+  bool Feed(std::string_view bytes) {
+    if (poisoned_) return false;
+    buf_.append(bytes.data(), bytes.size());
+    return true;
+  }
+
+  /// Pops the next complete frame payload, nullopt when more bytes are
+  /// needed (or the stream is poisoned).
+  std::optional<std::string> Next() {
+    if (poisoned_ || buf_.size() - pos_ < 4) return std::nullopt;
+    const unsigned char* p =
+        reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
+    const std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
+                              (static_cast<std::uint32_t>(p[1]) << 8) |
+                              (static_cast<std::uint32_t>(p[2]) << 16) |
+                              (static_cast<std::uint32_t>(p[3]) << 24);
+    if (len > max_frame_) {
+      poisoned_ = true;
+      buf_.clear();
+      pos_ = 0;
+      return std::nullopt;
+    }
+    if (buf_.size() - pos_ < 4 + static_cast<std::size_t>(len)) {
+      return std::nullopt;
+    }
+    std::string payload = buf_.substr(pos_ + 4, len);
+    pos_ += 4 + len;
+    // Compact lazily: only when the dead prefix dominates the buffer.
+    if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
+      buf_.erase(0, pos_);
+      pos_ = 0;
+    }
+    return payload;
+  }
+
+  bool poisoned() const { return poisoned_; }
+  std::size_t buffered() const { return buf_.size() - pos_; }
+
+ private:
+  std::size_t max_frame_;
+  bool poisoned_ = false;
+  std::string buf_;
+  std::size_t pos_ = 0;
+};
+
+/// Plain-socket plumbing shared by every TCP-speaking component (the
+/// replication stream and the client-API server). IPv4 only —
 /// the deployment model is loopback or a trusted LAN, per the paper's
 /// middleware assumption.
 

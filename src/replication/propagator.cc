@@ -1,5 +1,8 @@
 #include "replication/propagator.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.h"
 
 namespace lazysi {
@@ -252,11 +255,36 @@ void Propagator::ConsumeLocked(const wal::LogRecord& record) {
     // resync target for reconnecting channels.
     sync_points_[records_broadcast_.load(std::memory_order_relaxed)] =
         position_.load(std::memory_order_relaxed);
-    if (sync_points_.size() > kMaxSyncPoints) {
-      // Drop the oldest point after the always-kept origin.
-      sync_points_.erase(std::next(sync_points_.begin()));
-    }
+    if (sync_points_.size() > sync_point_limit_) CompactSyncPointsLocked();
   }
+}
+
+void Propagator::CompactSyncPointsLocked() {
+  // A receiver far behind the head must still resync from near its own
+  // position: dropping the oldest points instead would send every resync
+  // from beyond the retained window back to the origin, replaying the
+  // whole backlog after each cut.
+  const std::uint64_t head = sync_points_.rbegin()->first;
+  int prev_level = -1;
+  std::uint64_t prev_bucket = 0;
+  for (auto it = std::next(sync_points_.begin()); it != sync_points_.end();) {
+    const std::uint64_t age = head - it->first;
+    const int level =
+        age < kSyncPointDensity
+            ? 0
+            : static_cast<int>(std::bit_width(age / kSyncPointDensity)) - 1;
+    const std::uint64_t bucket = it->first >> level;
+    if (level == prev_level && bucket == prev_bucket) {
+      it = sync_points_.erase(it);
+      continue;
+    }
+    prev_level = level;
+    prev_bucket = bucket;
+    ++it;
+  }
+  // Amortized: the next pass waits until the map has doubled again.
+  sync_point_limit_ =
+      std::max(kSyncPointCompactionThreshold, 2 * sync_points_.size());
 }
 
 void Propagator::BufferLocked(PropagationRecord record) {

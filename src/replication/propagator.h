@@ -127,9 +127,15 @@ class Propagator {
   }
 
  private:
-  /// Recorded quiesced points beyond which older ones are dropped; the
-  /// origin {0, 0} is always retained as the resync point of last resort.
-  static constexpr std::size_t kMaxSyncPoints = 256;
+  /// Smallest sync-point count that triggers a thinning pass. The origin
+  /// {0, 0} is always retained as the resync point of last resort.
+  static constexpr std::size_t kSyncPointCompactionThreshold = 256;
+  /// Thinning keeps one point per 2^level-wide seq bucket, where level
+  /// grows with age as log2(age / kSyncPointDensity): a resync from `age`
+  /// records behind the head replays at most ~2 * age / kSyncPointDensity
+  /// records it already has, and the map holds O(kSyncPointDensity *
+  /// log(records)) points.
+  static constexpr std::uint64_t kSyncPointDensity = 32;
   /// Upper bound on log records consumed per lock hold. The whole burst's
   /// propagation records are published to each sink with one PushAll — one
   /// queue lock per burst per sink instead of one per record — while the
@@ -147,6 +153,9 @@ class Propagator {
   void ConsumeLocked(const wal::LogRecord& record);
   /// Counts the record as broadcast and appends it to the pending burst.
   void BufferLocked(PropagationRecord record);
+  /// Drops sync points so their spacing grows with age (see
+  /// kSyncPointDensity). Must be called with mu_ held.
+  void CompactSyncPointsLocked();
   /// Publishes the pending burst to every sink. Must be called with mu_ held
   /// (attach/detach see either none or all of a burst).
   void FlushBurstLocked();
@@ -166,6 +175,8 @@ class Propagator {
   std::vector<PropagationRecord> burst_;
   /// record_seq -> lsn at quiesced moments, ascending in both components.
   std::map<std::uint64_t, std::size_t> sync_points_{{0, 0}};
+  /// Size at which the next thinning pass runs.
+  std::size_t sync_point_limit_ = kSyncPointCompactionThreshold;
 
   std::atomic<std::size_t> position_{0};
   std::atomic<std::uint64_t> commits_propagated_{0};

@@ -161,10 +161,6 @@ void ReplicationListener::OnAcceptable() {
     SetTcpNoDelay(fd);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Conn>();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-    }
     std::weak_ptr<Conn> weak = conn;
     net::Connection::Options copts;
     copts.low_watermark = std::max<std::size_t>(1, options_.max_output_bytes / 2);
@@ -182,6 +178,12 @@ void ReplicationListener::OnAcceptable() {
       if (auto c = weak.lock()) OnConnClosed(c);
     };
     conn->nc = net::Connection::Adopt(loop_, fd, copts, std::move(cbs));
+    // Published only now: stats() reads nc under conns_mu_ from any thread.
+    // No callback can run before this, as they all run on this thread.
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      conns_.push_back(conn);
+    }
     // The propagator wakes the pump through the sink's hook — no parked
     // consumer thread per connection.
     conn->sink.SetWakeup([this, weak] { SchedulePump(weak); });
@@ -257,7 +259,8 @@ void ReplicationListener::HandleAttach(const std::shared_ptr<Conn>& conn,
   if (expected > 0) {
     attach_lsn = propagator_->SyncPointAtOrBefore(expected).lsn;
   }
-  auto base = propagator_->AttachSinkAt(&conn->sink, attach_lsn);
+  auto base =
+      propagator_->AttachSinkAt(&conn->sink, attach_lsn, options_.filter);
   if (!base.ok()) {
     LAZYSI_WARN("replication listener: attach at lsn " << attach_lsn
                 << " failed: " << base.status());
@@ -408,7 +411,8 @@ ReplicationReceiver::ReplicationReceiver(
                options_.reconnect_backoff_max > options_.reconnect_backoff
                    ? options_.reconnect_backoff_max
                    : options_.reconnect_backoff),
-      rng_(options_.jitter_seed) {
+      rng_(options_.jitter_seed),
+      fault_rng_(options_.fault_seed) {
   if (options_.ack_interval == 0) options_.ack_interval = 1;
   if (options_.loop != nullptr) {
     loop_ = options_.loop;
@@ -469,6 +473,15 @@ ReplicationReceiver::Stats ReplicationReceiver::stats() const {
       batch_frames_received_.load(std::memory_order_relaxed);
   s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
   return s;
+}
+
+FaultCounters ReplicationReceiver::fault_counters() const {
+  FaultCounters c;
+  c.dropped = faults_dropped_.load(std::memory_order_relaxed);
+  c.duplicated = faults_duplicated_.load(std::memory_order_relaxed);
+  c.corrupted = faults_corrupted_.load(std::memory_order_relaxed);
+  c.disconnects = faults_disconnects_.load(std::memory_order_relaxed);
+  return c;
 }
 
 void ReplicationReceiver::StartDial() {
@@ -547,8 +560,61 @@ void ReplicationReceiver::HandleFrame(const std::string& frame) {
     }
     had_connection_ = true;
     backoff_.Reset();
+    // Nothing delivered yet: the stream starts wherever the primary
+    // attached us (from_lsn), not at seq 0.
+    std::size_t off = 1;
+    std::uint64_t base = 0;
+    if (next_expected_.load(std::memory_order_acquire) == 0 &&
+        GetVarint(frame, &off, &base)) {
+      next_expected_.store(base, std::memory_order_release);
+    }
     return;
   }
+  if (frame[0] != kReplDataTag && frame[0] != kReplBatchTag) {
+    return;  // unknown tag between handshakes: ignore (forward compat)
+  }
+  if (options_.faults.any()) {
+    InjectFaults(frame);
+  } else {
+    HandleRecordFrame(frame);
+  }
+}
+
+void ReplicationReceiver::InjectFaults(const std::string& frame) {
+  // Draw order: disconnect, drop, corrupt, duplicate; a zero rate draws
+  // nothing, so a profile replays the same schedule for the same frames.
+  const FaultProfile& f = options_.faults;
+  const bool disconnect = f.disconnect_probability > 0 &&
+                          fault_rng_.Bernoulli(f.disconnect_probability);
+  if (f.drop_probability > 0 && fault_rng_.Bernoulli(f.drop_probability)) {
+    faults_dropped_.fetch_add(1, std::memory_order_relaxed);
+    current_->Close();
+    return;
+  }
+  std::string torn;
+  const std::string* body = &frame;
+  if (frame.size() > 1 && f.corrupt_probability > 0 &&
+      fault_rng_.Bernoulli(f.corrupt_probability)) {
+    // Keep the tag, cut 1..size-1 bytes off the end.
+    const std::size_t cut = 1 + fault_rng_.Next(frame.size() - 1);
+    torn = frame.substr(0, frame.size() - cut);
+    body = &torn;
+    faults_corrupted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  const bool duplicate = f.duplicate_probability > 0 &&
+                         fault_rng_.Bernoulli(f.duplicate_probability);
+  HandleRecordFrame(*body);
+  if (duplicate && current_ && !current_->closed()) {
+    faults_duplicated_.fetch_add(1, std::memory_order_relaxed);
+    HandleRecordFrame(*body);
+  }
+  if (disconnect && current_ && !current_->closed()) {
+    faults_disconnects_.fetch_add(1, std::memory_order_relaxed);
+    current_->Close();
+  }
+}
+
+void ReplicationReceiver::HandleRecordFrame(const std::string& frame) {
   if (frame[0] == kReplDataTag) {
     std::size_t off = 1;
     auto record = DecodeRecord(frame, &off);
@@ -564,33 +630,29 @@ void ReplicationReceiver::HandleFrame(const std::string& frame) {
     if (!HandleRecord(std::move(*record)) && current_) current_->Close();
     return;
   }
-  if (frame[0] == kReplBatchTag) {
-    batch_frames_received_.fetch_add(1, std::memory_order_relaxed);
-    std::size_t off = 0;
-    std::vector<PropagationRecord> records;
-    if (!DecodeBatchFramePayload(frame, &off, &records)) {
-      // Malformed count, record, or trailing garbage: damaged stream.
-      // Nothing from the batch is applied — the reconnect replay
-      // redelivers it cleanly and seq dedup drops any overlap.
-      decode_rejected_.fetch_add(1, std::memory_order_relaxed);
-      LAZYSI_WARN("replication receiver: undecodable batch frame");
-      current_->Close();
-      return;
-    }
-    for (auto& record : records) {
-      if (!HandleRecord(std::move(record))) {
-        if (current_) current_->Close();
-        return;
-      }
-      // The ACK write inside HandleRecord can fail inline (peer reset),
-      // which closes the connection and resets current_ via OnClosed; the
-      // rest of the batch must not touch the dead connection — the
-      // reconnect replay redelivers it and seq dedup drops the overlap.
-      if (!current_ || current_->closed()) return;
-    }
+  batch_frames_received_.fetch_add(1, std::memory_order_relaxed);
+  std::size_t off = 0;
+  std::vector<PropagationRecord> records;
+  if (!DecodeBatchFramePayload(frame, &off, &records)) {
+    // Malformed count, record, or trailing garbage: damaged stream.
+    // Nothing from the batch is applied — the reconnect replay
+    // redelivers it cleanly and seq dedup drops any overlap.
+    decode_rejected_.fetch_add(1, std::memory_order_relaxed);
+    LAZYSI_WARN("replication receiver: undecodable batch frame");
+    current_->Close();
     return;
   }
-  // Unknown tag between handshakes: ignore for forward compatibility.
+  for (auto& record : records) {
+    if (!HandleRecord(std::move(record))) {
+      if (current_) current_->Close();
+      return;
+    }
+    // The ACK write inside HandleRecord can fail inline (peer reset),
+    // which closes the connection and resets current_ via OnClosed; the
+    // rest of the batch must not touch the dead connection — the
+    // reconnect replay redelivers it and seq dedup drops the overlap.
+    if (!current_ || current_->closed()) return;
+  }
 }
 
 bool ReplicationReceiver::HandleRecord(PropagationRecord record) {

@@ -21,29 +21,30 @@
 #include "replication/framed_socket.h"
 #include "replication/messages.h"
 #include "replication/propagator.h"
-#include "replication/tcp_link.h"
 
 namespace lazysi {
 namespace replication {
 
-/// Cross-process propagation stream. ReliableChannel hosts both protocol
-/// endpoints in one object and so cannot span processes; this pair splits
-/// the roles and leans on TCP for in-order, loss-free delivery within a
-/// connection. Loss shows up only as a dropped connection, and repair is the
+/// The replication stream: Section 3.2 assumes propagated messages are "not
+/// lost or reordered", and this pair of endpoints provides exactly that on
+/// top of TCP. TCP keeps bytes in order and loss-free within a connection,
+/// so loss shows up only as a dropped connection, and repair is the
 /// reconnect handshake:
 ///
 ///   secondary -> HELLO { expected_seq, from_lsn }
 ///   primary:  expected_seq > 0 -> AttachSinkAt(SyncPointAtOrBefore(E).lsn)
 ///             expected_seq == 0 -> AttachSinkAt(from_lsn)  (cold start /
-///                                  restart after kill -9: full log replay)
+///                                  restart after kill -9 / restart from a
+///                                  checkpoint: replay from that LSN)
 ///   primary -> WELCOME { base_seq }
 ///   primary -> BATCH { n, record* } | DATA { record }
 ///   secondary -> ACK { cum_seq }*
 ///
 /// The replayed suffix may overlap what the secondary already applied
 /// (sync points quantize downward); global record sequence numbers let the
-/// receiver drop the overlap as duplicates — the same idempotence argument
-/// as ReliableChannel's resync (Section 3.4's recovery machinery).
+/// receiver drop the overlap as duplicates (Section 3.4's recovery
+/// machinery). Both the deployed processes and the in-process
+/// ReplicatedSystem's framed transport run this one stream.
 ///
 /// Both endpoints run on a net::EventLoop: connections are non-blocking and
 /// reactor-registered, so I/O thread count is O(loops), not O(secondaries).
@@ -75,6 +76,38 @@ std::string EncodeBatchFramePayload(
 bool DecodeBatchFramePayload(const std::string& frame, std::size_t* offset,
                              std::vector<PropagationRecord>* out);
 
+/// Fault rates injected at a receiver's intake, each drawn independently per
+/// record frame (DATA or BATCH) after the handshake. All zero (the default)
+/// models the paper's assumed network and draws nothing. The faults are the
+/// ones a TCP stream can actually exhibit, each repaired by the reconnect
+/// handshake or by seq dedup.
+struct FaultProfile {
+  /// P(frame lost). A TCP stream loses bytes only together with the
+  /// connection, so a drop also cuts it.
+  double drop_probability = 0.0;
+  /// P(frame handled twice); seq dedup absorbs the copy.
+  double duplicate_probability = 0.0;
+  /// P(frame torn: one or more bytes cut off its end). Every record
+  /// encoding ends in a mandatory field, so the decoder rejects the torn
+  /// frame and the receiver resyncs.
+  double corrupt_probability = 0.0;
+  /// P(connection cut after the frame is handled).
+  double disconnect_probability = 0.0;
+
+  bool any() const {
+    return drop_probability > 0 || duplicate_probability > 0 ||
+           corrupt_probability > 0 || disconnect_probability > 0;
+  }
+};
+
+/// How often each FaultProfile fault actually fired.
+struct FaultCounters {
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t corrupted = 0;
+  std::uint64_t disconnects = 0;
+};
+
 /// Primary-side listener: accepts one connection per secondary. Every
 /// connection shares the listener's event loop; per connection there is a
 /// propagator sink (queue) whose wakeup hook schedules a pump task that
@@ -101,6 +134,10 @@ class ReplicationListener {
     /// Per-connection output-buffer ceiling; at or above it the pump stops
     /// pulling from the propagator sink for that connection.
     std::size_t max_output_bytes = 1 << 20;
+    /// Coverage filter passed to every AttachSinkAt, so a partially
+    /// replicated secondary never receives uncovered updates, not even in
+    /// a resync replay. Inactive (full replication) by default.
+    SinkFilter filter;
   };
 
   struct Stats {
@@ -217,11 +254,16 @@ class ReplicationReceiver {
     /// Redial delay randomized to delay * (1 ± jitter).
     double reconnect_jitter = 0.2;
     std::uint64_t jitter_seed = 0x5eedf00d;
-    /// Checkpoint LSN to request the replay from when starting with
-    /// expected_seq == 0 (restart-from-checkpoint; 0 = full log).
+    /// Quiesced LSN (e.g. a checkpoint's) to request the replay from while
+    /// nothing has been delivered yet; the receiver then takes WELCOME's
+    /// base_seq as its first expected seq (0 = full log).
     std::size_t from_lsn = 0;
     /// Shared reactor; nullptr = the receiver owns (and starts) its own.
     net::EventLoop* loop = nullptr;
+    /// Fault injection at the intake, drawn from a generator seeded with
+    /// fault_seed so a run replays its exact fault schedule.
+    FaultProfile faults;
+    std::uint64_t fault_seed = 1;
   };
 
   struct Stats {
@@ -251,6 +293,7 @@ class ReplicationReceiver {
   void CutConnection();
 
   Stats stats() const;
+  FaultCounters fault_counters() const;
   std::uint64_t next_expected() const {
     return next_expected_.load(std::memory_order_acquire);
   }
@@ -262,6 +305,11 @@ class ReplicationReceiver {
   void OnDialDone(int fd, bool ok);
   void OnBytes(std::string_view bytes);
   void HandleFrame(const std::string& frame);
+  /// Applies the fault profile's draws to one record frame, then hands it
+  /// (torn, twice, or not at all) to HandleRecordFrame.
+  void InjectFaults(const std::string& frame);
+  /// Decodes and delivers one DATA or BATCH frame.
+  void HandleRecordFrame(const std::string& frame);
   /// Returns false when the stream is damaged and the connection must drop.
   bool HandleRecord(PropagationRecord record);
   void OnClosed();
@@ -285,6 +333,7 @@ class ReplicationReceiver {
   std::size_t since_ack_ = 0;
   ExponentialBackoff backoff_;
   Rng rng_;
+  Rng fault_rng_;
   std::uint64_t conn_epoch_ = 0;  // guards stale dial callbacks
 
   std::atomic<std::uint64_t> records_delivered_{0};
@@ -295,6 +344,10 @@ class ReplicationReceiver {
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> batch_frames_received_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
+  std::atomic<std::uint64_t> faults_dropped_{0};
+  std::atomic<std::uint64_t> faults_duplicated_{0};
+  std::atomic<std::uint64_t> faults_corrupted_{0};
+  std::atomic<std::uint64_t> faults_disconnects_{0};
 };
 
 }  // namespace replication

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "replication/tcp_link.h"
 
 namespace lazysi {
 namespace system {
@@ -383,6 +382,14 @@ replication::PropagatorOptions PropagatorOptionsFor(const SystemConfig& config,
   return opts;
 }
 
+// In-process streams redial over loopback, where a refused dial means only
+// that the listener is between connections: retry fast.
+constexpr std::chrono::milliseconds kStreamRedialInitial{1};
+constexpr std::chrono::milliseconds kStreamRedialMax{20};
+// How long Start/RecoverSecondary wait for a stream's first attach, and Stop
+// for the streams to drain what the propagator already broadcast.
+constexpr std::chrono::seconds kStreamTimeout{10};
+
 }  // namespace
 
 ReplicatedSystem::ReplicatedSystem(SystemConfig config)
@@ -489,22 +496,9 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
                                                config_.network_jitter,
                                                1000 + i});
     }
-    if (config_.transport_faults.any() || config_.transport_tcp) {
-      // Framed transport: records cross a byte link as encoded frames —
-      // ChaosLink queues or real TcpLink loopback sockets — and the reliable
-      // channel re-establishes FIFO-no-loss on top. It attaches itself to
-      // the propagator in Start().
-      if (config_.transport_tcp) {
-        site->link = std::make_unique<replication::TcpLink>(
-            config_.transport_faults, config_.transport_seed + i);
-      } else {
-        site->link = std::make_unique<replication::ChaosLink>(
-            config_.transport_faults, config_.transport_seed + i);
-      }
-      site->reliable = std::make_unique<replication::ReliableChannel>(
-          primary_.propagator(), site->link.get(),
-          wan ? site->channel->inlet() : site->replica->update_queue(),
-          TransportOptions(i));
+    if (streamed()) {
+      // Framed transport: Start() builds the stream, which attaches itself
+      // to the propagator.
     } else if (wan) {
       primary_.propagator()->AttachSink(site->channel->inlet(), FilterFor(i));
     } else {
@@ -512,17 +506,60 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
     }
     secondaries_.push_back(std::move(site));
   }
+  if (streamed()) {
+    loop_ = std::make_unique<net::EventLoop>();
+    loop_->Start();
+  }
 }
 
-replication::ReliableChannel::Options ReplicatedSystem::TransportOptions(
-    std::size_t secondary_index) const {
-  replication::ReliableChannel::Options opts;
-  opts.ack_interval = config_.transport_ack_interval;
-  opts.backoff_initial = config_.transport_backoff_initial;
-  opts.backoff_max = config_.transport_backoff_max;
-  opts.retransmit_cap = config_.transport_retransmit_cap;
-  opts.filter = FilterFor(secondary_index);
-  return opts;
+Status ReplicatedSystem::StartStream(std::size_t i, std::size_t from_lsn,
+                                     std::uint64_t fault_seed) {
+  SecondarySite* site = secondaries_[i].get();
+  replication::ReplicationListener::Options lo;
+  lo.loop = loop_.get();
+  lo.filter = FilterFor(i);
+  // Faults are drawn per frame. One record per frame keeps a seeded
+  // schedule's fault density per record, instead of depending on how many
+  // records happened to coalesce into each BATCH frame.
+  lo.batching = !config_.transport_faults.any();
+  site->listener = std::make_unique<replication::ReplicationListener>(
+      primary_.propagator(), lo);
+  Status started = site->listener->Start();
+  if (!started.ok()) {
+    site->listener.reset();
+    return started;
+  }
+  replication::ReplicationReceiver::Options ro;
+  ro.primary_port = site->listener->port();
+  ro.loop = loop_.get();
+  ro.from_lsn = from_lsn;
+  ro.reconnect_backoff = kStreamRedialInitial;
+  ro.reconnect_backoff_max = kStreamRedialMax;
+  ro.faults = config_.transport_faults;
+  ro.fault_seed = fault_seed;
+  site->receiver = std::make_unique<replication::ReplicationReceiver>(
+      site->channel ? site->channel->inlet() : site->replica->update_queue(),
+      ro);
+  site->receiver->Start();
+  // The attach replays [from_lsn, propagator position); waiting for it here
+  // makes a Start-time attach happen before the propagator moves again, so
+  // from_lsn never has to be a sync point.
+  const auto deadline = std::chrono::steady_clock::now() + kStreamTimeout;
+  while (site->listener->stats().replay_attaches == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      StopStream(site);
+      return Status::TimedOut("replication stream did not attach");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return Status::OK();
+}
+
+void ReplicatedSystem::StopStream(SecondarySite* site) {
+  if (site->receiver) site->receiver->Stop();
+  if (site->listener) site->listener->Stop();
+  site->receiver.reset();
+  site->listener.reset();
 }
 
 ReplicatedSystem::~ReplicatedSystem() { Stop(); }
@@ -530,12 +567,19 @@ ReplicatedSystem::~ReplicatedSystem() { Stop(); }
 void ReplicatedSystem::Start() {
   if (started_) return;
   started_ = true;
-  for (auto& site : secondaries_) {
+  // Streams resume where the propagator stopped: everything below its
+  // position was delivered before the last Stop returned.
+  const std::size_t resume_lsn = primary_.propagator()->position();
+  for (std::size_t i = 0; i < secondaries_.size(); ++i) {
+    SecondarySite* site = secondaries_[i].get();
     site->replica->Start();
     if (site->channel) site->channel->Start();
-    if (site->reliable) {
-      if (site->link) site->link->Reopen();
-      site->reliable->Start();
+    if (streamed() && !site->listener &&
+        !site->failed.load(std::memory_order_acquire)) {
+      Status s = StartStream(i, resume_lsn, config_.transport_seed + i);
+      if (!s.ok()) {
+        LAZYSI_ERROR("secondary " << i << " replication stream: " << s);
+      }
     }
   }
   primary_.Start();
@@ -578,8 +622,18 @@ void ReplicatedSystem::Stop() {
   }
   if (checkpointer_) checkpointer_->Stop();
   primary_.Stop();
+  // Let every stream deliver what the propagator already broadcast, so a
+  // later Start resumes at the propagator's position without a gap.
+  const std::uint64_t broadcast = primary_.propagator()->records_broadcast();
+  const auto deadline = std::chrono::steady_clock::now() + kStreamTimeout;
   for (auto& site : secondaries_) {
-    if (site->reliable) site->reliable->Stop();
+    while (site->receiver && site->receiver->next_expected() < broadcast &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  for (auto& site : secondaries_) {
+    StopStream(site.get());
     if (site->channel) site->channel->Stop();
     site->replica->Stop();
   }
@@ -589,18 +643,19 @@ void ReplicatedSystem::Stop() {
 
 std::uint64_t ReplicatedSystem::PropagationFloor() {
   // Records below the propagator's position were broadcast to every direct
-  // sink; only fault-transport channels can rewind (resync replays from a
-  // sync point at or below the receiver's cumulative ack), so each live
-  // channel pins the floor at that sync point.
-  std::uint64_t floor = primary_.propagator()->position();
+  // sink; only streams can rewind (a resync replays from a sync point at or
+  // below the receiver's position), so each live stream pins the floor at
+  // that sync point. The listener's MinAckFloor covers connected streams;
+  // between a cut and the next HELLO it holds no connection, and the
+  // receiver's position is what the resync will replay from.
+  replication::Propagator* prop = primary_.propagator();
+  std::uint64_t floor = prop->position();
   std::shared_lock lock(sites_mu_);
   for (auto& s : secondaries_) {
-    if (s->failed.load(std::memory_order_acquire)) continue;
-    if (!s->reliable) continue;
+    if (s->failed.load(std::memory_order_acquire) || !s->listener) continue;
+    floor = std::min(floor, s->listener->MinAckFloor());
     floor = std::min<std::uint64_t>(
-        floor, primary_.propagator()
-                   ->SyncPointAtOrBefore(s->reliable->acked_floor())
-                   .lsn);
+        floor, prop->SyncPointAtOrBefore(s->receiver->next_expected()).lsn);
   }
   return floor;
 }
@@ -738,19 +793,19 @@ std::string ReplicatedSystem::SystemStats::ToString() const {
          << " bytes=" << s.update_bytes_received
          << " remote_served=" << s.remote_reads_served << "]";
     }
-    if (!s.failed && (s.transport_delivered > 0 || s.link_dropped > 0)) {
-      os << " transport[delivered=" << s.transport_delivered
-         << " retx=" << s.transport_retransmits
-         << " resyncs=" << s.transport_resyncs
-         << " crc_rej=" << s.transport_crc_rejected
-         << " dups=" << s.transport_duplicates
-         << " drops=" << s.link_dropped << " corrupt=" << s.link_corrupted
-         << " disc=" << s.link_disconnects << "]";
+    if (!s.failed &&
+        (s.receiver.records_delivered > 0 || s.faults.dropped > 0)) {
+      os << " transport[delivered=" << s.receiver.records_delivered
+         << " resyncs=" << s.receiver.reconnects
+         << " rejected=" << s.receiver.decode_rejected
+         << " dups=" << s.receiver.duplicates_dropped
+         << " drops=" << s.faults.dropped << " corrupt=" << s.faults.corrupted
+         << " disc=" << s.faults.disconnects << "]";
     }
-    if (!s.failed && s.link_frames_sent > 0) {
-      os << " wire[frames=" << s.link_frames_sent << "/"
-         << s.link_frames_delivered << " bytes=" << s.link_bytes_sent << "/"
-         << s.link_bytes_delivered << "]";
+    if (!s.failed && s.listener.frames_sent > 0) {
+      os << " wire[frames=" << s.listener.frames_sent << "/"
+         << s.receiver.frames_received << " bytes=" << s.listener.bytes_sent
+         << "/" << s.receiver.bytes_received << "]";
     }
     os << "\n";
   }
@@ -814,21 +869,12 @@ ReplicatedSystem::SystemStats ReplicatedSystem::Stats() {
       sec.group_applies = s->replica->group_applies();
       sec.group_applied_commits = s->replica->group_applied_commits();
       sec.max_group_apply = s->replica->max_group_apply();
-      if (s->reliable) {
-        const auto ch = s->reliable->stats();
-        sec.transport_delivered = ch.records_delivered;
-        sec.transport_retransmits = ch.retransmit_frames;
-        sec.transport_resyncs = ch.resyncs;
-        sec.transport_crc_rejected = ch.crc_rejected;
-        sec.transport_duplicates = ch.duplicates_dropped;
-        const auto lk = s->link->counters();
-        sec.link_dropped = lk.dropped;
-        sec.link_corrupted = lk.corrupted;
-        sec.link_disconnects = lk.disconnects;
-        sec.link_frames_sent = lk.sent;
-        sec.link_frames_delivered = lk.delivered;
-        sec.link_bytes_sent = lk.bytes_sent;
-        sec.link_bytes_delivered = lk.bytes_delivered;
+      if (s->receiver) {
+        // Receiver first: everything it has read was already counted as
+        // sent, so the wire block never shows more delivered than sent.
+        sec.receiver = s->receiver->stats();
+        sec.faults = s->receiver->fault_counters();
+        sec.listener = s->listener->stats();
       }
     }
     stats.secondaries.push_back(sec);
@@ -918,8 +964,8 @@ Status ReplicatedSystem::FailSecondary(std::size_t i) {
   // Crash: the pipeline stops; queued updates and refresh state are lost
   // along with the site's database (Section 3.4). Detach from the
   // propagator first so broadcasts never touch the dead queue.
-  if (s->reliable) {
-    s->reliable->Stop();  // detaches its own propagator sink
+  if (s->listener) {
+    StopStream(s);  // the listener detaches its own propagator sinks
     if (s->channel) s->channel->Stop();
   } else if (s->channel) {
     primary_.propagator()->DetachSink(s->channel->inlet());
@@ -984,8 +1030,6 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   fresh_replica->InitializeSeq(seq, *install);
   fresh_replica->Start();
   std::unique_ptr<replication::LatencyChannel> fresh_channel;
-  std::unique_ptr<replication::ByteLink> fresh_link;
-  std::unique_ptr<replication::ReliableChannel> fresh_reliable;
   const bool wan = config_.network_latency.count() > 0 ||
                    config_.network_jitter.count() > 0;
   if (wan) {
@@ -996,23 +1040,8 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
                                              2000 + i});
     fresh_channel->Start();
   }
-  if (config_.transport_faults.any() || config_.transport_tcp) {
-    // The recovered site gets a fresh connection: new link (fresh fault
-    // stream / fresh sockets), new channel, attached at the checkpoint so
-    // the missed log suffix is replayed through the transport like any
-    // other record.
-    if (config_.transport_tcp) {
-      fresh_link = std::make_unique<replication::TcpLink>(
-          config_.transport_faults, config_.transport_seed + 1000 + i);
-    } else {
-      fresh_link = std::make_unique<replication::ChaosLink>(
-          config_.transport_faults, config_.transport_seed + 1000 + i);
-    }
-    fresh_reliable = std::make_unique<replication::ReliableChannel>(
-        primary_.propagator(), fresh_link.get(),
-        wan ? fresh_channel->inlet() : fresh_replica->update_queue(),
-        TransportOptions(i));
-    LAZYSI_RETURN_NOT_OK(fresh_reliable->StartAt(checkpoint.lsn));
+  if (streamed()) {
+    // Attached below, once the fresh site is in place.
   } else if (wan) {
     LAZYSI_RETURN_NOT_OK(primary_.propagator()
                              ->AttachSinkAt(fresh_channel->inlet(),
@@ -1026,8 +1055,12 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   s->db = std::move(fresh_db);
   s->replica = std::move(fresh_replica);
   s->channel = std::move(fresh_channel);
-  s->link = std::move(fresh_link);
-  s->reliable = std::move(fresh_reliable);
+  if (streamed()) {
+    // A fresh stream with a fresh fault schedule, replaying the missed log
+    // suffix from the checkpoint like any other record.
+    LAZYSI_RETURN_NOT_OK(
+        StartStream(i, checkpoint.lsn, config_.transport_seed + 1000 + i));
+  }
   s->failed.store(false, std::memory_order_release);
   return Status::OK();
 }

@@ -16,12 +16,11 @@
 #include "engine/checkpointer.h"
 #include "engine/database.h"
 #include "history/recorder.h"
-#include "replication/byte_link.h"
-#include "replication/chaos_link.h"
+#include "net/event_loop.h"
 #include "replication/partition_map.h"
 #include "replication/primary.h"
-#include "replication/reliable_channel.h"
 #include "replication/secondary.h"
+#include "replication/tcp_replication.h"
 #include "replication/transport.h"
 #include "session/session.h"
 
@@ -52,25 +51,19 @@ struct SystemConfig {
   /// Record every committed transaction for offline SI checking.
   bool record_history = false;
   /// Fault injection on the primary -> secondary transport. Any nonzero rate
-  /// routes each secondary's records through a ReliableChannel over a
-  /// ChaosLink (the wire codec then runs on the hot path) instead of handing
-  /// them between threads directly; the channel restores Section 3.2's
-  /// reliable-FIFO contract on top of the injected faults.
+  /// ships each secondary's records over the replication stream the
+  /// deployed processes run (ReplicationListener -> loopback TCP ->
+  /// ReplicationReceiver, on one event loop the system owns) instead of
+  /// handing them between threads directly, and the receiver injects the
+  /// faults at its intake; the stream's reconnect-and-resync restores
+  /// Section 3.2's reliable-FIFO contract on top of them.
   replication::FaultProfile transport_faults;
-  /// Chaos RNG seed; secondary i draws from transport_seed + i, so a run
+  /// Fault RNG seed; secondary i draws from transport_seed + i, so a run
   /// with a fixed seed replays its exact fault schedule.
   std::uint64_t transport_seed = 42;
-  /// Ship each secondary's records over real loopback TCP sockets (TcpLink)
-  /// instead of in-process queues: the ReliableChannel path activates even
-  /// with an all-zero fault profile, and any configured transport_faults are
-  /// injected before the frames hit the socket (same seeded schedule as the
-  /// chaos link draw-for-draw).
+  /// Ship each secondary's records over the replication stream even with an
+  /// all-zero fault profile.
   bool transport_tcp = false;
-  /// ReliableChannel tuning (used only when transport_faults.any()).
-  std::size_t transport_ack_interval = 32;
-  std::chrono::milliseconds transport_backoff_initial{2};
-  std::chrono::milliseconds transport_backoff_max{100};
-  int transport_retransmit_cap = 8;
   /// Route each read-only transaction to a round-robin secondary instead of
   /// the session's home secondary. Exposes the strong-session-SI vs PCSI
   /// difference (Section 7): under PCSI a roaming session's snapshots may
@@ -331,23 +324,12 @@ class ReplicatedSystem {
     std::uint64_t group_applies = 0;
     std::uint64_t group_applied_commits = 0;
     std::uint64_t max_group_apply = 0;
-    /// Transport-layer counters; all zero on the direct in-process path
-    /// (no chaos transport configured).
-    std::uint64_t transport_delivered = 0;
-    std::uint64_t transport_retransmits = 0;
-    std::uint64_t transport_resyncs = 0;
-    std::uint64_t transport_crc_rejected = 0;
-    std::uint64_t transport_duplicates = 0;
-    std::uint64_t link_dropped = 0;
-    std::uint64_t link_corrupted = 0;
-    std::uint64_t link_disconnects = 0;
-    /// Byte-link wire volume: frames/bytes offered to the link toward this
-    /// secondary, and what actually arrived (the gap is loss + disconnect
-    /// windows; duplicates inflate the delivered side).
-    std::uint64_t link_frames_sent = 0;
-    std::uint64_t link_frames_delivered = 0;
-    std::uint64_t link_bytes_sent = 0;
-    std::uint64_t link_bytes_delivered = 0;
+    /// Replication-stream counters of this secondary's receiver and
+    /// listener, and the faults its receiver injected; all zero on the
+    /// direct in-process path (no framed transport configured).
+    replication::ReplicationReceiver::Stats receiver;
+    replication::ReplicationListener::Stats listener;
+    replication::FaultCounters faults;
   };
 
   /// Point-in-time monitoring snapshot of the whole system.
@@ -447,12 +429,12 @@ class ReplicatedSystem {
     std::unique_ptr<replication::Secondary> replica;
     /// Present only when the config models network latency.
     std::unique_ptr<replication::LatencyChannel> channel;
-    /// Present only when the config injects transport faults or selects the
-    /// TCP transport: the propagator feeds `reliable`, which ships encoded
-    /// frames across `link` (ChaosLink queues or TcpLink loopback sockets)
-    /// into the latency channel (if any) or straight into the update queue.
-    std::unique_ptr<replication::ByteLink> link;
-    std::unique_ptr<replication::ReliableChannel> reliable;
+    /// Present only while the framed transport runs (transport_faults or
+    /// transport_tcp): the primary end of this secondary's replication
+    /// stream and the receiver dialing it over loopback, both on loop_. The
+    /// receiver feeds the latency channel (if any) or the update queue.
+    std::unique_ptr<replication::ReplicationListener> listener;
+    std::unique_ptr<replication::ReplicationReceiver> receiver;
     std::atomic<bool> failed{false};
   };
 
@@ -467,8 +449,19 @@ class ReplicatedSystem {
 
   void GcLoop();
 
-  replication::ReliableChannel::Options TransportOptions(
-      std::size_t secondary_index) const;
+  /// True when records cross the replication stream rather than an
+  /// in-process handoff.
+  bool streamed() const {
+    return config_.transport_faults.any() || config_.transport_tcp;
+  }
+
+  /// Builds secondary `i`'s replication stream, replaying from the quiesced
+  /// `from_lsn` with the fault schedule of `fault_seed`, and blocks until
+  /// the listener has attached the receiver's sink.
+  Status StartStream(std::size_t i, std::size_t from_lsn,
+                     std::uint64_t fault_seed);
+  /// Stops and destroys a site's stream; its propagator sink detaches.
+  static void StopStream(SecondarySite* site);
 
   /// The partition filter secondary `i`'s replication stream runs through
   /// (inactive under full replication).
@@ -480,9 +473,9 @@ class ReplicatedSystem {
   std::vector<Timestamp> PartitionFloorsLocked();
 
   /// Minimum LSN any propagation sink may still need for a resync (the
-  /// checkpointer's log_floor): under fault transports, the min over live
-  /// channels of the sync point at or below their receiver's cumulative
-  /// ack; on the direct in-process path, the propagator's position.
+  /// checkpointer's log_floor): the propagator's position, held back on the
+  /// framed transport by each live stream's sync point (its listener's
+  /// MinAckFloor, and its receiver's position while disconnected).
   std::uint64_t PropagationFloor();
 
   SystemConfig config_;
@@ -494,6 +487,9 @@ class ReplicatedSystem {
   std::unique_ptr<wal::DurableLog> durable_log_;
   std::unique_ptr<engine::Checkpointer> checkpointer_;
   engine::Database::RestoreReport restore_report_;
+  /// The reactor every replication stream runs on (framed transport only);
+  /// declared before secondaries_ so it outlives their streams.
+  std::unique_ptr<net::EventLoop> loop_;
   std::shared_mutex sites_mu_;
   std::vector<std::unique_ptr<SecondarySite>> secondaries_;
   session::SessionManager sessions_;

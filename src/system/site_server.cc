@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "replication/tcp_link.h"
+#include "replication/framed_socket.h"
 #include "system/wire_api.h"
 
 namespace lazysi {

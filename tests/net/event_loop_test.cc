@@ -7,11 +7,31 @@
 
 #include <atomic>
 #include <future>
+#include <thread>
 #include <vector>
 
 namespace lazysi {
 namespace net {
 namespace {
+
+TEST(EventLoopTest, PostAndWaitRightAfterStartRunsOnLoopThread) {
+  // Start must not return before the loop thread has published that it
+  // runs: a PostAndWait called first would see a stopped loop, run its task
+  // inline on the caller, and touch loop-only state off-loop.
+  for (int i = 0; i < 200; ++i) {
+    EventLoop loop;
+    loop.Start();
+    std::thread::id ran_on;
+    bool in_loop = false;
+    loop.PostAndWait([&] {
+      ran_on = std::this_thread::get_id();
+      in_loop = loop.InLoop();
+    });
+    ASSERT_NE(ran_on, std::this_thread::get_id()) << "iteration " << i;
+    ASSERT_TRUE(in_loop) << "iteration " << i;
+    loop.Stop();
+  }
+}
 
 TEST(EventLoopTest, StaleEventSkippedWhenFdNumberReusedMidBatch) {
   // Two fds become readable inside one epoll_wait batch. The first fd's

@@ -226,6 +226,36 @@ TEST(PropagatorTest, AttachSinkAtDerivesBaseSeqFromSyncPoints) {
   prop.Stop();
 }
 
+TEST(PropagatorTest, SyncPointsStayCloseFarBehindTheHead) {
+  // A reconnecting receiver far behind the head resyncs from the sync point
+  // at or below its position. That point must stay near the position (the
+  // overlap is replayed and deduplicated), not fall back to the origin once
+  // the receiver is more than a fixed number of points behind.
+  engine::Database db;
+  Propagator prop(db.log());
+  prop.Start();
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(db.Put("k" + std::to_string(i % 13), "v").ok());
+  }
+  while (prop.position() < db.log()->Size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t head = prop.records_broadcast();
+  ASSERT_EQ(head, 4000u);  // a start and a commit record per transaction
+  for (std::uint64_t behind : {2u, 100u, 600u, 1000u, 3000u, 3998u}) {
+    const std::uint64_t want = head - behind;
+    const auto point = prop.SyncPointAtOrBefore(want);
+    EXPECT_LE(point.record_seq, want) << "behind=" << behind;
+    EXPECT_LE(want - point.record_seq, behind / 8 + 2) << "behind=" << behind;
+    Queue resync;
+    auto base = prop.AttachSinkAt(&resync, point.lsn);
+    ASSERT_TRUE(base.ok()) << base.status();
+    EXPECT_EQ(*base, point.record_seq);
+    prop.DetachSink(&resync);
+  }
+  prop.Stop();
+}
+
 TEST(PropagatorTest, BatchedModeDeliversInCycles) {
   engine::Database db;
   PropagatorOptions batched;

@@ -57,13 +57,21 @@ struct SecondaryProc {
   Secondary secondary{&db};
   ReplicationReceiver receiver;
 
-  explicit SecondaryProc(std::uint16_t primary_port)
+  explicit SecondaryProc(std::uint16_t primary_port,
+                         FaultProfile faults = FaultProfile{})
       : db(engine::DatabaseOptions{1, "tcp-sec"}),
         secondary(&db),
-        receiver(secondary.update_queue(), [primary_port] {
+        receiver(secondary.update_queue(), [primary_port, faults] {
           ReplicationReceiver::Options o;
           o.primary_port = primary_port;
           o.ack_interval = 4;
+          if (faults.any()) {
+            // Faults cut the stream often; redial fast over loopback.
+            o.reconnect_backoff = 1ms;
+            o.reconnect_backoff_max = 20ms;
+            o.faults = faults;
+            o.fault_seed = 7;
+          }
           return o;
         }()) {
     secondary.Start();
@@ -126,6 +134,104 @@ TEST(TcpReplicationTest, FreshReceiverReplaysFullLog) {
   ASSERT_TRUE(fresh.secondary.WaitForSeq(last, 5000ms));
   EXPECT_EQ(fresh.db.StateHash(), primary.db.StateHash());
   EXPECT_EQ(fresh.receiver.stats().duplicates_dropped, 0u);
+}
+
+TEST(TcpReplicationTest, FromLsnReplaysOnlyTheCheckpointSuffix) {
+  // A receiver started with from_lsn behaves like a recovering secondary:
+  // the checkpoint is installed out of band, and the stream replays only
+  // the log suffix from the checkpoint's quiesced LSN onward.
+  PrimaryProc primary;
+  primary.PutN(20, "v1");
+  const auto checkpoint = primary.db.TakeCheckpoint();
+  const Timestamp last = primary.PutN(10, "v2");
+
+  engine::Database db(engine::DatabaseOptions{1, "late"});
+  auto install = db.InstallCheckpoint(checkpoint);
+  ASSERT_TRUE(install.ok()) << install.status();
+  Secondary secondary(&db);
+  secondary.InitializeSeq(checkpoint.as_of, *install);
+  ReplicationReceiver::Options o;
+  o.primary_port = primary.listener.port();
+  o.from_lsn = checkpoint.lsn;
+  ReplicationReceiver receiver(secondary.update_queue(), o);
+  secondary.Start();
+  receiver.Start();
+  ASSERT_TRUE(secondary.WaitForSeq(last, 5000ms));
+  const auto rs = receiver.stats();
+  receiver.Stop();
+  secondary.Stop();
+
+  EXPECT_EQ(db.store()->Materialize(db.LatestCommitTs()),
+            primary.db.store()->Materialize(primary.db.LatestCommitTs()));
+  // Ten commits after the checkpoint: a start and a commit record each.
+  EXPECT_EQ(rs.records_delivered, 20u);
+  EXPECT_EQ(rs.duplicates_dropped, 0u);
+  EXPECT_EQ(secondary.stream_discontinuities(), 0u);
+}
+
+TEST(TcpReplicationTest, DropOnLastFrameOfIdleStreamConverges) {
+  // Each commit is the last thing on the wire until the secondary has it,
+  // so a dropped frame has no successor to reveal the loss. The drop cuts
+  // the connection, and the resync replays the lost suffix.
+  ReplicationListener::Options lo;
+  lo.batching = false;  // one record per frame: the commit record is last
+  PrimaryProc primary(lo);
+  FaultProfile faults;
+  faults.drop_probability = 0.5;
+  SecondaryProc secondary(primary.listener.port(), faults);
+  for (int i = 0; i < 20; ++i) {
+    const Timestamp last = primary.PutN(1, "v" + std::to_string(i));
+    ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 10000ms)) << i;
+  }
+  EXPECT_EQ(secondary.db.StateHash(), primary.db.StateHash());
+  EXPECT_GT(secondary.receiver.fault_counters().dropped, 0u);
+  EXPECT_GT(secondary.receiver.stats().reconnects, 0u);
+}
+
+TEST(TcpReplicationTest, DuplicatedBatchFrameIsDedupedWithoutReconnect) {
+  PrimaryProc primary;
+  FaultProfile faults;
+  faults.duplicate_probability = 1.0;
+  SecondaryProc secondary(primary.listener.port(), faults);
+  const Timestamp last = primary.PutN(30, "v1");
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 5000ms));
+  EXPECT_EQ(secondary.db.StateHash(), primary.db.StateHash());
+
+  // Every record arrives twice and seq dedup drops each copy; the last
+  // copy may still be in hand when the secondary catches up.
+  auto rs = secondary.receiver.stats();
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (rs.duplicates_dropped < rs.records_delivered &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+    rs = secondary.receiver.stats();
+  }
+  EXPECT_GT(rs.batch_frames_received, 0u);
+  EXPECT_GT(secondary.receiver.fault_counters().duplicated, 0u);
+  EXPECT_EQ(rs.duplicates_dropped, rs.records_delivered);
+  EXPECT_EQ(rs.reconnects, 0u);
+}
+
+TEST(TcpReplicationTest, TornFrameIsRejectedAndResynced) {
+  // Cutting bytes off a frame's end must never decode: every record
+  // encoding ends in a mandatory field. Each torn frame is rejected once,
+  // and the resync redelivers it intact.
+  ReplicationListener::Options lo;
+  lo.batching = false;  // one frame per record: the schedule is per record
+  PrimaryProc primary(lo);
+  FaultProfile faults;
+  faults.corrupt_probability = 0.3;
+  SecondaryProc secondary(primary.listener.port(), faults);
+  Timestamp last = 0;
+  for (int i = 0; i < 10; ++i) last = primary.PutN(5, "v" + std::to_string(i));
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 10000ms));
+  EXPECT_EQ(secondary.db.StateHash(), primary.db.StateHash());
+
+  const auto rs = secondary.receiver.stats();
+  const auto fc = secondary.receiver.fault_counters();
+  EXPECT_GT(fc.corrupted, 0u);
+  EXPECT_EQ(rs.decode_rejected, fc.corrupted);
+  EXPECT_GT(rs.reconnects, 0u);
 }
 
 TEST(TcpReplicationTest, ReceiverOutlivesLateListener) {

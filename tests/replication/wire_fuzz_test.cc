@@ -1,15 +1,21 @@
-// Fuzz coverage for the propagation wire codec. With the chaos transport,
-// DecodeRecord parses bytes that crossed a link which corrupts frames on
-// purpose, so the codec is on a trust boundary inside our own test rig —
-// not just in a hypothetical networked deployment. Seeded mutations of
-// valid encodings plus a directed corpus for the historic decoder bugs.
+// Fuzz coverage for the propagation wire codec and the replication
+// stream's framing. DecodeRecord parses bytes that crossed a socket from
+// another process (and, under the chaos transport, frames torn on purpose),
+// so the codec sits on a trust boundary. Seeded mutations of valid
+// encodings plus a directed corpus for the historic decoder bugs.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <chrono>
 #include <limits>
+#include <memory>
+#include <thread>
 
 #include "common/random.h"
-#include "replication/tcp_link.h"
+#include "engine/database.h"
+#include "replication/framed_socket.h"
+#include "replication/primary.h"
 #include "replication/tcp_replication.h"
 #include "replication/wire.h"
 
@@ -178,11 +184,11 @@ TEST(WireFuzzTest, TruncatedHugeLengthStopsAtBufferEnd) {
 
 // --- TCP length-prefixed framing corpus ---
 //
-// The TCP transport wraps every ReliableChannel frame in a 4-byte length
-// prefix; TcpFramer reassembles them from arbitrary socket fragmentation.
-// Same trust boundary as the record codec: the prefix crosses the wire
-// unprotected (the CRC covers only the payload), so a flipped length bit
-// must never crash, over-allocate, or desynchronize silently.
+// The replication stream wraps every HELLO/WELCOME/DATA/BATCH/ACK payload
+// in a 4-byte length prefix; TcpFramer reassembles them from arbitrary
+// socket fragmentation. Same trust boundary as the record codec: the
+// prefix carries no checksum of its own, so a bad length must never crash,
+// over-allocate, or desynchronize silently.
 
 TEST(WireFuzzTest, TcpFramingSurvivesRandomFragmentation) {
   Rng rng(9090);
@@ -394,6 +400,182 @@ TEST(WireFuzzTest, BatchFrameOversizedLengthPrefixPoisons) {
   EXPECT_FALSE(framer.Next().has_value());
   EXPECT_TRUE(framer.poisoned());
   EXPECT_FALSE(framer.Feed("x"));
+}
+
+// --- Control frames against a live listener ---
+//
+// HELLO and ACK are the bytes a primary's listener accepts from whoever
+// dials it. Every truncation and seeded mutation of a valid HELLO, and
+// garbage ACK frames after a valid one, must leave the listener alive:
+// each connection is either dropped or welcomed at a real sync point.
+
+/// A primary with a committed log and a live listener. Commits are
+/// sequential, so every transaction boundary is a recorded sync point.
+struct ControlRig {
+  engine::Database db;
+  Primary primary{&db};
+  ReplicationListener listener{primary.propagator(), {}};
+
+  ControlRig() {
+    EXPECT_TRUE(listener.Start().ok());
+    primary.Start();
+    for (int i = 0; i < 80; ++i) {
+      EXPECT_TRUE(db.Put("k" + std::to_string(i % 7), "v").ok());
+    }
+    // 80 commits = 160 records, so a valid HELLO's seq needs two varint
+    // bytes.
+    while (primary.propagator()->records_broadcast() < 160) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ~ControlRig() {
+    primary.Stop();
+    listener.Stop();
+  }
+
+  /// Sends raw bytes on a fresh connection. Bytes that stop short of a
+  /// whole frame are followed by a half-close, as a peer dying mid-frame
+  /// would leave them.
+  std::unique_ptr<FramedSocket> Send(const std::string& bytes) {
+    const int fd = DialTcp("127.0.0.1", listener.port(),
+                           std::chrono::milliseconds(2000));
+    EXPECT_GE(fd, 0);
+    auto sock = std::make_unique<FramedSocket>(fd);
+    if (fd < 0) return sock;
+    (void)SendAll(fd, bytes);
+    TcpFramer framer;
+    framer.Feed(bytes);
+    if (!framer.Next().has_value()) ::shutdown(fd, SHUT_WR);
+    return sock;
+  }
+
+  /// The connection must end in a drop or a WELCOME at a real sync point;
+  /// returns true for a WELCOME.
+  bool ExpectDropOrWelcome(FramedSocket* sock, const std::string& what) {
+    if (!sock->valid()) return false;
+    sock->set_recv_timeout(std::chrono::milliseconds(1000));
+    auto frame = sock->Recv();
+    if (!frame.has_value() && sock->timed_out()) {
+      // A frame the listener ignores (an empty one) leaves it waiting for
+      // a HELLO; the peer going away must still end the connection.
+      ::shutdown(sock->fd(), SHUT_WR);
+      sock->set_recv_timeout(std::chrono::milliseconds(5000));
+      frame = sock->Recv();
+    }
+    if (!frame.has_value()) {
+      EXPECT_FALSE(sock->timed_out()) << what << ": neither dropped nor "
+                                      << "welcomed";
+      return false;
+    }
+    EXPECT_FALSE(frame->empty()) << what;
+    if (frame->empty()) return false;
+    EXPECT_EQ((*frame)[0], kReplWelcomeTag) << what;
+    std::size_t off = 1;
+    std::uint64_t base = 0;
+    EXPECT_TRUE(GetVarint(*frame, &off, &base)) << what;
+    EXPECT_EQ(primary.propagator()->SyncPointAtOrBefore(base).record_seq,
+              base)
+        << what;
+    return true;
+  }
+};
+
+std::string ValidHello() {
+  std::string hello(1, kReplHelloTag);
+  PutVarint(&hello, 150);  // expected seq
+  PutVarint(&hello, 0);    // from_lsn
+  return hello;
+}
+
+TEST(WireFuzzTest, HelloTruncationsAreDroppedOrWelcomed) {
+  ControlRig rig;
+  const std::string hello = ValidHello();
+  // Short payloads behind an honest length prefix.
+  for (std::size_t cut = 0; cut < hello.size(); ++cut) {
+    std::string wire;
+    AppendTcpFrame(&wire, hello.substr(0, cut));
+    auto sock = rig.Send(wire);
+    EXPECT_FALSE(rig.ExpectDropOrWelcome(sock.get(),
+                                         "payload cut=" + std::to_string(cut)));
+  }
+  // The framed bytes cut anywhere, prefix included.
+  std::string wire;
+  AppendTcpFrame(&wire, hello);
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    auto sock = rig.Send(wire.substr(0, cut));
+    EXPECT_FALSE(rig.ExpectDropOrWelcome(sock.get(),
+                                         "wire cut=" + std::to_string(cut)));
+  }
+  // The untruncated HELLO is welcomed.
+  auto sock = rig.Send(wire);
+  EXPECT_TRUE(rig.ExpectDropOrWelcome(sock.get(), "whole HELLO"));
+}
+
+TEST(WireFuzzTest, MutatedHellosAreDroppedOrWelcomed) {
+  ControlRig rig;
+  std::string wire;
+  AppendTcpFrame(&wire, ValidHello());
+  Rng rng(20060912);
+  int welcomed = 0;
+  int dropped = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    std::string mutated = wire;
+    const auto flips = 1 + rng.Next(3);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      mutated[rng.Next(mutated.size())] = static_cast<char>(rng.Next(256));
+    }
+    if (rng.Bernoulli(0.25)) {
+      mutated.append(rng.Next(8), static_cast<char>(rng.Next(256)));
+    }
+    auto sock = rig.Send(mutated);
+    if (rig.ExpectDropOrWelcome(sock.get(), "trial=" + std::to_string(trial))) {
+      ++welcomed;
+    } else {
+      ++dropped;
+    }
+  }
+  // Both outcomes occurred, and the listener still serves a well-formed
+  // secondary afterwards.
+  EXPECT_GT(welcomed, 0);
+  EXPECT_GT(dropped, 0);
+  auto sock = rig.Send(wire);
+  EXPECT_TRUE(rig.ExpectDropOrWelcome(sock.get(), "after fuzzing"));
+}
+
+TEST(WireFuzzTest, GarbageAckFramesLeaveTheListenerSound) {
+  ControlRig rig;
+  Rng rng(777);
+  for (int conn = 0; conn < 20; ++conn) {
+    std::string wire;
+    AppendTcpFrame(&wire, ValidHello());
+    auto sock = rig.Send(wire);
+    ASSERT_TRUE(rig.ExpectDropOrWelcome(sock.get(),
+                                        "conn=" + std::to_string(conn)));
+    std::string garbage;
+    for (int f = 0; f < 20; ++f) {
+      std::string ack(1, rng.Bernoulli(0.8) ? kReplAckTag
+                                            : static_cast<char>(rng.Next(256)));
+      if (rng.Bernoulli(0.5)) {
+        PutVarint(&ack, rng.Bernoulli(0.5) ? rng.Next(1000)
+                                           : std::numeric_limits<
+                                                 std::uint64_t>::max());
+      } else {
+        ack.append(rng.Next(12), static_cast<char>(0x80 | rng.Next(128)));
+      }
+      AppendTcpFrame(&garbage, ack);
+    }
+    (void)SendAll(sock->fd(), garbage);
+    // Whatever the acks claimed, the truncation floor stays at a real
+    // sync point no later than what the propagator consumed.
+    const std::uint64_t floor = rig.listener.MinAckFloor();
+    EXPECT_TRUE(floor == UINT64_MAX ||
+                floor <= rig.primary.propagator()->position())
+        << "conn=" << conn << " floor=" << floor;
+  }
+  std::string wire;
+  AppendTcpFrame(&wire, ValidHello());
+  auto sock = rig.Send(wire);
+  EXPECT_TRUE(rig.ExpectDropOrWelcome(sock.get(), "after garbage acks"));
 }
 
 }  // namespace

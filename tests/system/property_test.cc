@@ -41,8 +41,8 @@ struct PropertyParams {
   /// partition_replication replicas per partition. 1/0 = full replication.
   std::size_t num_partitions = 1;
   std::size_t partition_replication = 0;
-  /// Ship propagation over real loopback TCP sockets (TcpLink +
-  /// ReliableChannel) instead of in-process queues.
+  /// Ship propagation over the replication stream (listener -> loopback
+  /// TCP -> receiver) instead of in-process queues.
   bool transport_tcp = false;
 };
 
@@ -215,8 +215,9 @@ INSTANTIATE_TEST_SUITE_P(
                        "session_partitioned_routed", /*roam_reads=*/false,
                        /*legacy_refresh=*/false, /*freshness_routing=*/true,
                        /*num_partitions=*/4, /*partition_replication=*/2},
-        // End-to-end over real loopback sockets: the same guarantees must
-        // hold when propagation crosses the kernel TCP stack.
+        // End-to-end over the replication stream the deployed processes
+        // run: the same guarantees must hold when propagation crosses the
+        // kernel TCP stack.
         PropertyParams{session::Guarantee::kStrongSessionSI, 3, 6, 30, 0,
                        "session_tcp", /*roam_reads=*/false,
                        /*legacy_refresh=*/false, /*freshness_routing=*/false,

@@ -57,9 +57,10 @@ TEST(SystemStatsTest, FailedSecondaryMarked) {
 }
 
 TEST(SystemStatsTest, WireVolumeCountersSurfaceOverChaosTransport) {
-  // The byte-link counts frames/bytes in both directions of the delivery
-  // pipeline; the stats layer must surface them per secondary and render
-  // them in ToString so wire volume is observable without a debugger.
+  // The stream's listener and receiver count frames/bytes at both ends of
+  // the delivery pipeline; the stats layer must surface them per secondary
+  // and render them in ToString so wire volume is observable without a
+  // debugger.
   SystemConfig config;
   config.num_secondaries = 2;
   config.transport_faults.drop_probability = 0.05;
@@ -78,13 +79,13 @@ TEST(SystemStatsTest, WireVolumeCountersSurfaceOverChaosTransport) {
 
   const auto stats = sys.Stats();
   for (const auto& sec : stats.secondaries) {
-    EXPECT_GT(sec.link_frames_sent, 0u) << "secondary " << sec.index;
-    EXPECT_GT(sec.link_frames_delivered, 0u) << "secondary " << sec.index;
-    EXPECT_GT(sec.link_bytes_sent, 0u) << "secondary " << sec.index;
-    EXPECT_GT(sec.link_bytes_delivered, 0u) << "secondary " << sec.index;
+    EXPECT_GT(sec.listener.frames_sent, 0u) << "secondary " << sec.index;
+    EXPECT_GT(sec.receiver.frames_received, 0u) << "secondary " << sec.index;
+    EXPECT_GT(sec.listener.bytes_sent, 0u) << "secondary " << sec.index;
+    EXPECT_GT(sec.receiver.bytes_received, 0u) << "secondary " << sec.index;
     // Dropped frames' bytes never arrive: delivered <= sent unless
     // duplication outweighs loss (duplication is off here).
-    EXPECT_LE(sec.link_bytes_delivered, sec.link_bytes_sent);
+    EXPECT_LE(sec.receiver.bytes_received, sec.listener.bytes_sent);
   }
   EXPECT_NE(stats.ToString().find("wire[frames="), std::string::npos);
   sys.Stop();

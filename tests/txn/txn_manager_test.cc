@@ -217,17 +217,24 @@ TEST_F(TxnManagerTest, ConcurrentReadersAcrossBankGrowth) {
     return t->Put("k", "0").ok() && t->Commit().ok();
   }());
   std::atomic<bool> stop{false};
+  std::atomic<int> claimed{0};
   std::thread writer([&] {
-    for (int i = 1; !stop.load(std::memory_order_acquire); ++i) {
+    for (int i = 1; !stop.load(std::memory_order_acquire);) {
+      // Paced to the readers: every Get walks the versions newer than its
+      // snapshot, so an unpaced writer grows the chain faster than starved
+      // readers can walk it, and the test stalls on a loaded host.
+      if (i > 8 * (claimed.load(std::memory_order_acquire) + 1)) {
+        std::this_thread::yield();
+        continue;
+      }
       auto t = manager_.Begin();
-      ASSERT_TRUE(t->Put("k", std::to_string(i)).ok());
+      ASSERT_TRUE(t->Put("k", std::to_string(i++)).ok());
       ASSERT_TRUE(t->Commit().ok());
     }
   });
   constexpr int kReaderThreads = 4;
   constexpr int kIterations = 50;
   constexpr int kClump = 80;  // 4 x 80 held at once > one 256-slot bank
-  std::atomic<int> claimed{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaderThreads; ++r) {
     readers.emplace_back([&] {
