@@ -2,6 +2,11 @@
 // refresh throughput and the cost of the session blocking rule. These
 // complement the simulation figures by showing the actual engine keeps up
 // with far more than the model's offered load.
+//
+// Rows whose timed loop waits on other threads (propagator, stream event
+// loop, refresher) use UseRealTime(): their items_per_second then comes from
+// wall-clock time, so a slower replication path shows up even though the
+// benchmark thread spends it blocked rather than on CPU.
 
 #include <benchmark/benchmark.h>
 
@@ -56,7 +61,11 @@ void BM_ReplicationPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
   sys.Stop();
 }
-BENCHMARK(BM_ReplicationPipeline)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReplicationPipeline)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Appends `rounds` rounds of kConcurrent overlapping primary transactions,
 // numbered from `first_round`: keys are disjoint within a round (every
@@ -226,7 +235,9 @@ void BM_SessionReadAfterWrite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   sys.Stop();
 }
-BENCHMARK(BM_SessionReadAfterWrite)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SessionReadAfterWrite)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_WeakReadThroughput(benchmark::State& state) {
   // Read-only transactions at a secondary are never blocked; this is the
@@ -292,18 +303,17 @@ BENCHMARK(BM_ReadRoutingFreshVsBlind)
     ->ArgNames({"routed"})
     ->Arg(0)
     ->Arg(1)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ChaosTransportThroughput(benchmark::State& state) {
-  // Primary-commit -> secondary-applied throughput when every record crosses
-  // the replication stream (listener -> loopback TCP -> receiver) at 0% / 1%
-  // / 5% frame loss. Arg is loss in percent; the 0% row isolates the cost of
-  // the stream itself, the lossy rows add a reconnect and a sync-point
-  // replay per lost frame.
+  // Primary-commit -> secondary-applied throughput over the replication
+  // stream at 1% / 5% frame loss (Arg is loss in percent): each lost frame
+  // adds a reconnect and a sync-point replay. The loss-free baseline is
+  // BM_ReplicationPipeline/1, which runs the same stream.
   SystemConfig config;
   config.num_secondaries = 1;
   config.guarantee = Guarantee::kWeakSI;
-  config.transport_tcp = true;
   config.transport_faults.drop_probability =
       static_cast<double>(state.range(0)) / 100.0;
   ReplicatedSystem sys(config);
@@ -324,9 +334,9 @@ void BM_ChaosTransportThroughput(benchmark::State& state) {
   sys.Stop();
 }
 BENCHMARK(BM_ChaosTransportThroughput)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(5)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_TcpPropagation(benchmark::State& state) {
@@ -420,6 +430,7 @@ BENCHMARK(BM_TcpPropagation)
     ->Args({2, 0})
     ->Args({2, 128})
     ->Args({4, 128})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_PartitionedPropagation(benchmark::State& state) {
@@ -472,6 +483,7 @@ BENCHMARK(BM_PartitionedPropagation)
     ->Arg(4)
     ->Arg(2)
     ->Arg(1)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_GroupCommitThroughput(benchmark::State& state) {

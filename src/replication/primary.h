@@ -1,9 +1,9 @@
 #ifndef LAZYSI_REPLICATION_PRIMARY_H_
 #define LAZYSI_REPLICATION_PRIMARY_H_
 
+#include <cstdint>
 #include <utility>
 
-#include "common/status.h"
 #include "engine/database.h"
 #include "replication/propagator.h"
 #include "replication/secondary.h"
@@ -17,25 +17,18 @@ namespace replication {
 /// queues and receive the start/commit schedule lazily.
 class Primary {
  public:
+  /// The propagator's durability read barrier comes from `db`: while a
+  /// durable log is attached, replication stays behind its flushed-LSN
+  /// watermark, so no record reaches a secondary before it reaches disk.
   explicit Primary(engine::Database* db,
                    PropagatorOptions options = PropagatorOptions())
-      : db_(db), propagator_(db->log(), options) {}
+      : db_(db), propagator_(db->log(), WithReadBarrier(db, options)) {}
 
   /// Attaches a secondary that is already consistent with the propagator's
   /// current position (e.g. it was attached before any update ran). An
   /// active `filter` restricts the stream to the secondary's partitions.
   void AttachSecondary(Secondary* secondary, SinkFilter filter = SinkFilter()) {
     propagator_.AttachSink(secondary->update_queue(), std::move(filter));
-  }
-
-  /// Attaches a recovering secondary that installed a checkpoint taken at
-  /// `checkpoint_lsn`; missed records are replayed first (Section 3.4).
-  Status AttachSecondaryAt(Secondary* secondary, std::size_t checkpoint_lsn,
-                           SinkFilter filter = SinkFilter()) {
-    return propagator_
-        .AttachSinkAt(secondary->update_queue(), checkpoint_lsn,
-                      std::move(filter))
-        .status();
   }
 
   void Start() { propagator_.Start(); }
@@ -55,6 +48,17 @@ class Primary {
   }
 
  private:
+  static PropagatorOptions WithReadBarrier(engine::Database* db,
+                                           PropagatorOptions options) {
+    options.read_limit = [db]() -> std::size_t {
+      wal::DurableLog* durable = db->durable();
+      return durable != nullptr
+                 ? static_cast<std::size_t>(durable->flushed_end())
+                 : SIZE_MAX;
+    };
+    return options;
+  }
+
   engine::Database* db_;
   Propagator propagator_;
 };

@@ -185,12 +185,13 @@ void Propagator::Run() {
     while (DrainBurst() > 0) drained_any = true;
     if (options_.batch_interval.count() == 0 && !drained_any) {
       // Continuous mode: block until the next record appears.
-      auto rec = log_->WaitAt(position_.load(std::memory_order_acquire),
-                              std::chrono::milliseconds(50));
-      if (rec.has_value() && options_.read_limit) {
-        // The record exists but DrainBurst declined it: it is still behind
-        // the durability barrier. Yield while the flush completes rather
-        // than spinning on WaitAt (which returns immediately).
+      const std::size_t pos = position_.load(std::memory_order_acquire);
+      auto rec = log_->WaitAt(pos, std::chrono::milliseconds(50));
+      if (rec.has_value() && options_.read_limit &&
+          pos >= options_.read_limit()) {
+        // The record exists but is still behind the durability barrier.
+        // Yield while the flush completes rather than spinning on WaitAt
+        // (which returns immediately).
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
       if (!rec.has_value() && log_->closed()) {

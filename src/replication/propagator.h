@@ -26,11 +26,11 @@ struct PropagatorOptions {
   /// (Table 1: 10 s propagator think time).
   std::chrono::milliseconds batch_interval{0};
   /// Durability barrier: when set, the propagator only consumes log records
-  /// below the returned LSN (exclusive). A durable primary points this at
-  /// its flushed-LSN watermark so no record reaches a secondary before it
-  /// reaches disk — otherwise a crash could leave the restarted primary
-  /// *behind* its secondaries, re-issuing timestamps they already applied.
-  /// Null = no barrier (in-memory primary).
+  /// below the returned LSN (exclusive). Primary points this at its
+  /// database's flushed-LSN watermark so no record reaches a secondary
+  /// before it reaches disk — otherwise a crash could leave the restarted
+  /// primary *behind* its secondaries, re-issuing timestamps they already
+  /// applied. Null = no barrier.
   std::function<std::size_t()> read_limit;
 };
 

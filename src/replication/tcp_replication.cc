@@ -187,6 +187,10 @@ void ReplicationListener::OnAcceptable() {
     // The propagator wakes the pump through the sink's hook — no parked
     // consumer thread per connection.
     conn->sink.SetWakeup([this, weak] { SchedulePump(weak); });
+    conn->hello_timer = loop_->ScheduleAfter(kHelloDeadline, [weak] {
+      auto c = weak.lock();
+      if (c && !c->hello_done) c->nc->Close();
+    });
   }
 }
 
@@ -217,10 +221,9 @@ void ReplicationListener::OnConnBytes(const std::shared_ptr<Conn>& conn,
 
 void ReplicationListener::HandleFrame(const std::shared_ptr<Conn>& conn,
                                       const std::string& frame) {
-  if (frame.empty()) return;
   if (!conn->hello_done) {
-    if (frame[0] != kReplHelloTag) {
-      conn->nc->Close();  // wrong protocol; drop silently
+    if (frame.empty() || frame[0] != kReplHelloTag) {
+      conn->nc->Close();  // not a HELLO: wrong protocol; drop silently
       return;
     }
     std::size_t off = 1;
@@ -234,13 +237,15 @@ void ReplicationListener::HandleFrame(const std::shared_ptr<Conn>& conn,
       return;
     }
     conn->hello_done = true;
+    loop_->CancelTimer(conn->hello_timer);
+    conn->hello_timer = 0;
     // Attaching may replay a large log suffix; keep it off the loop.
     attach_q_.Push([this, conn, expected, from_lsn] {
       HandleAttach(conn, expected, from_lsn);
     });
     return;
   }
-  if (frame[0] != kReplAckTag || frame.size() < 2) return;
+  if (frame.size() < 2 || frame[0] != kReplAckTag) return;
   std::size_t off = 1;
   std::uint64_t acked = 0;
   if (GetVarint(frame, &off, &acked)) {
@@ -380,6 +385,10 @@ void ReplicationListener::OnConnClosed(const std::shared_ptr<Conn>& conn) {
   if (conn->flush_timer_armed) {
     loop_->CancelTimer(conn->flush_timer);
     conn->flush_timer_armed = false;
+  }
+  if (conn->hello_timer != 0) {
+    loop_->CancelTimer(conn->hello_timer);
+    conn->hello_timer = 0;
   }
   // Retire the connection's wire counters and drop it from the live set
   // under one lock hold so stats() never sees the counters twice.

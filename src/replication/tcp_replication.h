@@ -43,8 +43,8 @@ namespace replication {
 /// The replayed suffix may overlap what the secondary already applied
 /// (sync points quantize downward); global record sequence numbers let the
 /// receiver drop the overlap as duplicates (Section 3.4's recovery
-/// machinery). Both the deployed processes and the in-process
-/// ReplicatedSystem's framed transport run this one stream.
+/// machinery). Both the deployed processes and every secondary of the
+/// in-process ReplicatedSystem run this one stream.
 ///
 /// Both endpoints run on a net::EventLoop: connections are non-blocking and
 /// reactor-registered, so I/O thread count is O(loops), not O(secondaries).
@@ -60,6 +60,11 @@ constexpr char kReplWelcomeTag = 'W';  // primary -> secondary
 constexpr char kReplDataTag = 'D';     // one record
 constexpr char kReplBatchTag = 'B';    // varint count + that many records
 constexpr char kReplAckTag = 'A';      // cumulative seq
+
+/// How long the listener waits for an accepted connection's HELLO. A peer
+/// that sends nothing (or anything but a HELLO) first is dropped, so it
+/// cannot hold a connection and its propagator-side state.
+constexpr std::chrono::milliseconds kHelloDeadline{2000};
 
 /// Builds one BATCH frame payload: tag + varint(count) + count encoded
 /// records. The listener's pump produces the same bytes incrementally;
@@ -189,6 +194,7 @@ class ReplicationListener {
     std::size_t pending_n = 0;
     bool flush_timer_armed = false;
     net::EventLoop::TimerId flush_timer = 0;
+    net::EventLoop::TimerId hello_timer = 0;  // 0 once HELLO arrived
   };
 
   void OnAcceptable();

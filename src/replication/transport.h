@@ -11,10 +11,11 @@
 namespace lazysi {
 namespace replication {
 
-/// In-process stand-in for the network path between the propagator and a
-/// secondary's update queue: delivers records in FIFO order after a
-/// configurable latency with optional jitter. Models WAN replicas in the
-/// real (threaded) system the way `propagation_delay` does in the simulator.
+/// WAN delay stage in front of a secondary's update queue: delivers records
+/// in FIFO order after a configurable latency with optional jitter.
+/// ReplicatedSystem puts one between each secondary's stream receiver and
+/// its update queue to model WAN replicas in the real (threaded) system, the
+/// way `propagation_delay` does in the simulator.
 ///
 /// The paper assumes propagated messages are neither lost nor reordered
 /// (Section 3.2); accordingly, jitter here delays deliveries but can never
@@ -33,15 +34,13 @@ class LatencyChannel {
                  Options options)
       : downstream_(downstream), options_(options), rng_(options.seed) {}
 
-  explicit LatencyChannel(BlockingQueue<PropagationRecord>* downstream)
-      : LatencyChannel(downstream, Options{}) {}
-
   ~LatencyChannel() { Stop(); }
 
   LatencyChannel(const LatencyChannel&) = delete;
   LatencyChannel& operator=(const LatencyChannel&) = delete;
 
-  /// The queue to attach to the propagator as a sink.
+  /// The queue upstream pushes records into (a propagator sink or a stream
+  /// receiver's downstream).
   BlockingQueue<PropagationRecord>* inlet() { return &inlet_; }
 
   void Start() {

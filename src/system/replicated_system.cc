@@ -364,24 +364,6 @@ Status ClientConnection::ExecuteRead(
 
 namespace {
 
-/// Propagator options for the primary: batching per config, plus (for a
-/// durable primary) the read barrier that keeps replication behind the
-/// flushed-LSN watermark — no record reaches a secondary before disk.
-replication::PropagatorOptions PropagatorOptionsFor(const SystemConfig& config,
-                                                    engine::Database* db) {
-  replication::PropagatorOptions opts;
-  opts.batch_interval = config.propagation_batch_interval;
-  if (config.durable_log && !config.data_dir.empty()) {
-    opts.read_limit = [db]() -> std::size_t {
-      wal::DurableLog* durable = db->durable();
-      return durable != nullptr
-                 ? static_cast<std::size_t>(durable->flushed_end())
-                 : SIZE_MAX;
-    };
-  }
-  return opts;
-}
-
 // In-process streams redial over loopback, where a refused dial means only
 // that the listener is between connections: retry fast.
 constexpr std::chrono::milliseconds kStreamRedialInitial{1};
@@ -401,7 +383,8 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
           config.num_secondaries)),
       primary_db_(engine::DatabaseOptions{kPrimarySiteId, "primary",
                                           config.record_state_chain}),
-      primary_(&primary_db_, PropagatorOptionsFor(config_, &primary_db_)),
+      primary_(&primary_db_, replication::PropagatorOptions{
+                                 config.propagation_batch_interval, nullptr}),
       sessions_(config.guarantee) {
   // Durable primary: restore from the data directory's checkpoint + log
   // suffix before anything attaches to the propagator, then gate commit
@@ -459,18 +442,7 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
     // RecoverSecondary does after a crash (Section 3.4).
     Timestamp boot_local = kInvalidTimestamp;
     if (bootstrap_secondaries) {
-      engine::Database::Checkpoint cp = boot_cp;
-      const replication::SinkFilter filter = FilterFor(i);
-      if (filter.active()) {
-        for (auto it = cp.state.begin(); it != cp.state.end();) {
-          if (filter.CoversKey(it->first)) {
-            ++it;
-          } else {
-            it = cp.state.erase(it);
-          }
-        }
-      }
-      auto install = site->db->InstallCheckpoint(cp);
+      auto install = site->db->InstallCheckpoint(CoveredCheckpoint(i, boot_cp));
       if (!install.ok()) {
         LAZYSI_ERROR("secondary " << i << " bootstrap from restored "
                      << "checkpoint failed: " << install.status());
@@ -485,38 +457,46 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
     if (boot_local != kInvalidTimestamp) {
       site->replica->InitializeSeq(boot_cp.as_of, boot_local);
     }
-    const bool wan = config_.network_latency.count() > 0 ||
-                     config_.network_jitter.count() > 0;
-    if (wan) {
-      // WAN model: a latency channel delays records on their way into the
-      // secondary's update queue.
-      site->channel = std::make_unique<replication::LatencyChannel>(
-          site->replica->update_queue(),
-          replication::LatencyChannel::Options{config_.network_latency,
-                                               config_.network_jitter,
-                                               1000 + i});
-    }
-    if (streamed()) {
-      // Framed transport: Start() builds the stream, which attaches itself
-      // to the propagator.
-    } else if (wan) {
-      primary_.propagator()->AttachSink(site->channel->inlet(), FilterFor(i));
-    } else {
-      primary_.AttachSecondary(site->replica.get(), FilterFor(i));
-    }
+    site->channel = LatencyChannelFor(site->replica.get(), 1000 + i);
+    // Start() builds the replication stream, which attaches itself to the
+    // propagator.
     secondaries_.push_back(std::move(site));
   }
-  if (streamed()) {
-    loop_ = std::make_unique<net::EventLoop>();
-    loop_->Start();
+  loop_.Start();
+}
+
+engine::Database::Checkpoint ReplicatedSystem::CoveredCheckpoint(
+    std::size_t i, engine::Database::Checkpoint checkpoint) const {
+  const replication::SinkFilter filter = FilterFor(i);
+  if (!filter.active()) return checkpoint;
+  for (auto it = checkpoint.state.begin(); it != checkpoint.state.end();) {
+    if (filter.CoversKey(it->first)) {
+      ++it;
+    } else {
+      it = checkpoint.state.erase(it);
+    }
   }
+  return checkpoint;
+}
+
+std::unique_ptr<replication::LatencyChannel>
+ReplicatedSystem::LatencyChannelFor(replication::Secondary* replica,
+                                    std::uint64_t seed) const {
+  if (config_.network_latency.count() <= 0 &&
+      config_.network_jitter.count() <= 0) {
+    return nullptr;
+  }
+  return std::make_unique<replication::LatencyChannel>(
+      replica->update_queue(),
+      replication::LatencyChannel::Options{config_.network_latency,
+                                           config_.network_jitter, seed});
 }
 
 Status ReplicatedSystem::StartStream(std::size_t i, std::size_t from_lsn,
                                      std::uint64_t fault_seed) {
   SecondarySite* site = secondaries_[i].get();
   replication::ReplicationListener::Options lo;
-  lo.loop = loop_.get();
+  lo.loop = &loop_;
   lo.filter = FilterFor(i);
   // Faults are drawn per frame. One record per frame keeps a seeded
   // schedule's fault density per record, instead of depending on how many
@@ -531,7 +511,7 @@ Status ReplicatedSystem::StartStream(std::size_t i, std::size_t from_lsn,
   }
   replication::ReplicationReceiver::Options ro;
   ro.primary_port = site->listener->port();
-  ro.loop = loop_.get();
+  ro.loop = &loop_;
   ro.from_lsn = from_lsn;
   ro.reconnect_backoff = kStreamRedialInitial;
   ro.reconnect_backoff_max = kStreamRedialMax;
@@ -574,8 +554,7 @@ void ReplicatedSystem::Start() {
     SecondarySite* site = secondaries_[i].get();
     site->replica->Start();
     if (site->channel) site->channel->Start();
-    if (streamed() && !site->listener &&
-        !site->failed.load(std::memory_order_acquire)) {
+    if (!site->listener && !site->failed.load(std::memory_order_acquire)) {
       Status s = StartStream(i, resume_lsn, config_.transport_seed + i);
       if (!s.ok()) {
         LAZYSI_ERROR("secondary " << i << " replication stream: " << s);
@@ -642,12 +621,11 @@ void ReplicatedSystem::Stop() {
 }
 
 std::uint64_t ReplicatedSystem::PropagationFloor() {
-  // Records below the propagator's position were broadcast to every direct
-  // sink; only streams can rewind (a resync replays from a sync point at or
-  // below the receiver's position), so each live stream pins the floor at
-  // that sync point. The listener's MinAckFloor covers connected streams;
-  // between a cut and the next HELLO it holds no connection, and the
-  // receiver's position is what the resync will replay from.
+  // A stream can rewind (a resync replays from a sync point at or below the
+  // receiver's position), so each live stream pins the floor at that sync
+  // point. The listener's MinAckFloor covers connected streams; between a
+  // cut and the next HELLO it holds no connection, and the receiver's
+  // position is what the resync will replay from.
   replication::Propagator* prop = primary_.propagator();
   std::uint64_t floor = prop->position();
   std::shared_lock lock(sites_mu_);
@@ -962,17 +940,10 @@ Status ReplicatedSystem::FailSecondary(std::size_t i) {
   }
   s->failed.store(true, std::memory_order_release);
   // Crash: the pipeline stops; queued updates and refresh state are lost
-  // along with the site's database (Section 3.4). Detach from the
-  // propagator first so broadcasts never touch the dead queue.
-  if (s->listener) {
-    StopStream(s);  // the listener detaches its own propagator sinks
-    if (s->channel) s->channel->Stop();
-  } else if (s->channel) {
-    primary_.propagator()->DetachSink(s->channel->inlet());
-    s->channel->Stop();
-  } else {
-    primary_.propagator()->DetachSink(s->replica->update_queue());
-  }
+  // along with the site's database (Section 3.4). The listener detaches its
+  // propagator sink, so broadcasts never touch the dead queue.
+  StopStream(s);
+  if (s->channel) s->channel->Stop();
   s->replica->Stop();
   return Status::OK();
 }
@@ -1000,19 +971,7 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
     }
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  const replication::SinkFilter filter = FilterFor(i);
-  if (filter.active()) {
-    // A partial replica installs only its covered partitions — uncovered
-    // keys never live here (scans and differential checks rely on that),
-    // and the replayed log suffix is filtered the same way below.
-    for (auto it = checkpoint.state.begin(); it != checkpoint.state.end();) {
-      if (filter.CoversKey(it->first)) {
-        ++it;
-      } else {
-        it = checkpoint.state.erase(it);
-      }
-    }
-  }
+  checkpoint = CoveredCheckpoint(i, std::move(checkpoint));
 
   auto fresh_db = std::make_unique<engine::Database>(engine::DatabaseOptions{
       static_cast<SiteId>(i + 1), "secondary-" + std::to_string(i) + "-r",
@@ -1029,38 +988,16 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   const Timestamp seq = checkpoint.as_of;
   fresh_replica->InitializeSeq(seq, *install);
   fresh_replica->Start();
-  std::unique_ptr<replication::LatencyChannel> fresh_channel;
-  const bool wan = config_.network_latency.count() > 0 ||
-                   config_.network_jitter.count() > 0;
-  if (wan) {
-    fresh_channel = std::make_unique<replication::LatencyChannel>(
-        fresh_replica->update_queue(),
-        replication::LatencyChannel::Options{config_.network_latency,
-                                             config_.network_jitter,
-                                             2000 + i});
-    fresh_channel->Start();
-  }
-  if (streamed()) {
-    // Attached below, once the fresh site is in place.
-  } else if (wan) {
-    LAZYSI_RETURN_NOT_OK(primary_.propagator()
-                             ->AttachSinkAt(fresh_channel->inlet(),
-                                            checkpoint.lsn, filter)
-                             .status());
-  } else {
-    LAZYSI_RETURN_NOT_OK(primary_.AttachSecondaryAt(fresh_replica.get(),
-                                                    checkpoint.lsn, filter));
-  }
+  auto fresh_channel = LatencyChannelFor(fresh_replica.get(), 2000 + i);
+  if (fresh_channel) fresh_channel->Start();
 
   s->db = std::move(fresh_db);
   s->replica = std::move(fresh_replica);
   s->channel = std::move(fresh_channel);
-  if (streamed()) {
-    // A fresh stream with a fresh fault schedule, replaying the missed log
-    // suffix from the checkpoint like any other record.
-    LAZYSI_RETURN_NOT_OK(
-        StartStream(i, checkpoint.lsn, config_.transport_seed + 1000 + i));
-  }
+  // A fresh stream with a fresh fault schedule, replaying the missed log
+  // suffix from the checkpoint like any other record.
+  LAZYSI_RETURN_NOT_OK(
+      StartStream(i, checkpoint.lsn, config_.transport_seed + 1000 + i));
   s->failed.store(false, std::memory_order_release);
   return Status::OK();
 }

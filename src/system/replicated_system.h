@@ -41,7 +41,8 @@ struct SystemConfig {
   /// 0 = continuous propagation; > 0 models the paper's propagation_delay.
   std::chrono::milliseconds propagation_batch_interval{0};
   /// Per-record network latency on the primary -> secondary path (a
-  /// LatencyChannel per secondary); models WAN replicas in the real system.
+  /// LatencyChannel between each secondary's stream receiver and its update
+  /// queue); models WAN replicas in the real system.
   std::chrono::milliseconds network_latency{0};
   /// Uniform extra network delay in [0, jitter]; FIFO order is preserved.
   std::chrono::milliseconds network_jitter{0};
@@ -50,20 +51,17 @@ struct SystemConfig {
   std::chrono::milliseconds read_block_timeout{10000};
   /// Record every committed transaction for offline SI checking.
   bool record_history = false;
-  /// Fault injection on the primary -> secondary transport. Any nonzero rate
-  /// ships each secondary's records over the replication stream the
-  /// deployed processes run (ReplicationListener -> loopback TCP ->
-  /// ReplicationReceiver, on one event loop the system owns) instead of
-  /// handing them between threads directly, and the receiver injects the
-  /// faults at its intake; the stream's reconnect-and-resync restores
-  /// Section 3.2's reliable-FIFO contract on top of them.
+  /// Fault injection on the primary -> secondary transport. Every secondary
+  /// receives its records over the replication stream the deployed
+  /// processes run (ReplicationListener -> loopback TCP ->
+  /// ReplicationReceiver, on one event loop the system owns); a nonzero
+  /// rate makes the receiver inject faults at its intake, and the stream's
+  /// reconnect-and-resync restores Section 3.2's reliable-FIFO contract on
+  /// top of them.
   replication::FaultProfile transport_faults;
   /// Fault RNG seed; secondary i draws from transport_seed + i, so a run
   /// with a fixed seed replays its exact fault schedule.
   std::uint64_t transport_seed = 42;
-  /// Ship each secondary's records over the replication stream even with an
-  /// all-zero fault profile.
-  bool transport_tcp = false;
   /// Route each read-only transaction to a round-robin secondary instead of
   /// the session's home secondary. Exposes the strong-session-SI vs PCSI
   /// difference (Section 7): under PCSI a roaming session's snapshots may
@@ -325,8 +323,8 @@ class ReplicatedSystem {
     std::uint64_t group_applied_commits = 0;
     std::uint64_t max_group_apply = 0;
     /// Replication-stream counters of this secondary's receiver and
-    /// listener, and the faults its receiver injected; all zero on the
-    /// direct in-process path (no framed transport configured).
+    /// listener, and the faults its receiver injected; all zero while the
+    /// system is stopped (the streams exist only while it runs).
     replication::ReplicationReceiver::Stats receiver;
     replication::ReplicationListener::Stats listener;
     replication::FaultCounters faults;
@@ -429,10 +427,10 @@ class ReplicatedSystem {
     std::unique_ptr<replication::Secondary> replica;
     /// Present only when the config models network latency.
     std::unique_ptr<replication::LatencyChannel> channel;
-    /// Present only while the framed transport runs (transport_faults or
-    /// transport_tcp): the primary end of this secondary's replication
-    /// stream and the receiver dialing it over loopback, both on loop_. The
-    /// receiver feeds the latency channel (if any) or the update queue.
+    /// Present while the system runs and the site is live: the primary end
+    /// of this secondary's replication stream and the receiver dialing it
+    /// over loopback, both on loop_. The receiver feeds the latency channel
+    /// (if any) or the update queue.
     std::unique_ptr<replication::ReplicationListener> listener;
     std::unique_ptr<replication::ReplicationReceiver> receiver;
     std::atomic<bool> failed{false};
@@ -449,11 +447,16 @@ class ReplicatedSystem {
 
   void GcLoop();
 
-  /// True when records cross the replication stream rather than an
-  /// in-process handoff.
-  bool streamed() const {
-    return config_.transport_faults.any() || config_.transport_tcp;
-  }
+  /// The WAN model's delay stage in front of `replica`'s update queue;
+  /// null when the config models no network latency.
+  std::unique_ptr<replication::LatencyChannel> LatencyChannelFor(
+      replication::Secondary* replica, std::uint64_t seed) const;
+
+  /// `checkpoint` restricted to the partitions secondary `i` covers, the
+  /// same filter its stream applies: uncovered keys never live at a partial
+  /// replica (scans and differential checks rely on that).
+  engine::Database::Checkpoint CoveredCheckpoint(
+      std::size_t i, engine::Database::Checkpoint checkpoint) const;
 
   /// Builds secondary `i`'s replication stream, replaying from the quiesced
   /// `from_lsn` with the fault schedule of `fault_seed`, and blocks until
@@ -473,9 +476,9 @@ class ReplicatedSystem {
   std::vector<Timestamp> PartitionFloorsLocked();
 
   /// Minimum LSN any propagation sink may still need for a resync (the
-  /// checkpointer's log_floor): the propagator's position, held back on the
-  /// framed transport by each live stream's sync point (its listener's
-  /// MinAckFloor, and its receiver's position while disconnected).
+  /// checkpointer's log_floor): the propagator's position, held back by
+  /// each live stream's sync point (its listener's MinAckFloor, and its
+  /// receiver's position while disconnected).
   std::uint64_t PropagationFloor();
 
   SystemConfig config_;
@@ -487,9 +490,9 @@ class ReplicatedSystem {
   std::unique_ptr<wal::DurableLog> durable_log_;
   std::unique_ptr<engine::Checkpointer> checkpointer_;
   engine::Database::RestoreReport restore_report_;
-  /// The reactor every replication stream runs on (framed transport only);
-  /// declared before secondaries_ so it outlives their streams.
-  std::unique_ptr<net::EventLoop> loop_;
+  /// The reactor every replication stream runs on; declared before
+  /// secondaries_ so it outlives their streams.
+  net::EventLoop loop_;
   std::shared_mutex sites_mu_;
   std::vector<std::unique_ptr<SecondarySite>> secondaries_;
   session::SessionManager sessions_;

@@ -82,18 +82,7 @@ Status SiteServer::Start() {
                     << restore_report_.restored_visible);
       }
     }
-    replication::PropagatorOptions popts;
-    if (!options_.data_dir.empty()) {
-      // Durability read barrier: replication stays behind the flushed-LSN
-      // watermark, so no record reaches a secondary before it reaches disk.
-      popts.read_limit = [this]() -> std::size_t {
-        wal::DurableLog* durable = db_.durable();
-        return durable != nullptr
-                   ? static_cast<std::size_t>(durable->flushed_end())
-                   : SIZE_MAX;
-      };
-    }
-    primary_ = std::make_unique<replication::Primary>(&db_, popts);
+    primary_ = std::make_unique<replication::Primary>(&db_);
     if (durable_log_) {
       primary_->propagator()->SeedForRecovery(base_lsn, base_seq);
     }

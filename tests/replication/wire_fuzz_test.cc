@@ -455,13 +455,6 @@ struct ControlRig {
     if (!sock->valid()) return false;
     sock->set_recv_timeout(std::chrono::milliseconds(1000));
     auto frame = sock->Recv();
-    if (!frame.has_value() && sock->timed_out()) {
-      // A frame the listener ignores (an empty one) leaves it waiting for
-      // a HELLO; the peer going away must still end the connection.
-      ::shutdown(sock->fd(), SHUT_WR);
-      sock->set_recv_timeout(std::chrono::milliseconds(5000));
-      frame = sock->Recv();
-    }
     if (!frame.has_value()) {
       EXPECT_FALSE(sock->timed_out()) << what << ": neither dropped nor "
                                       << "welcomed";
@@ -509,6 +502,30 @@ TEST(WireFuzzTest, HelloTruncationsAreDroppedOrWelcomed) {
   // The untruncated HELLO is welcomed.
   auto sock = rig.Send(wire);
   EXPECT_TRUE(rig.ExpectDropOrWelcome(sock.get(), "whole HELLO"));
+}
+
+TEST(WireFuzzTest, SilentPeerIsDroppedAtTheHelloDeadline) {
+  ControlRig rig;
+  const int fd = DialTcp("127.0.0.1", rig.listener.port(),
+                         std::chrono::milliseconds(2000));
+  ASSERT_GE(fd, 0);
+  FramedSocket sock(fd);
+  const auto margin = std::chrono::milliseconds(2000);
+  sock.set_recv_timeout(kHelloDeadline + margin);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto frame = sock.Recv();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  // The listener closed the connection (EOF), not our receive timeout.
+  EXPECT_FALSE(frame.has_value());
+  EXPECT_FALSE(sock.timed_out()) << "a silent peer held its connection";
+  EXPECT_LT(waited, kHelloDeadline + margin);
+  // The drop freed the connection: nothing holds the truncation floor.
+  const auto deadline = std::chrono::steady_clock::now() + margin;
+  while (rig.listener.MinAckFloor() != UINT64_MAX &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(rig.listener.MinAckFloor(), UINT64_MAX);
 }
 
 TEST(WireFuzzTest, MutatedHellosAreDroppedOrWelcomed) {

@@ -41,9 +41,6 @@ struct PropertyParams {
   /// partition_replication replicas per partition. 1/0 = full replication.
   std::size_t num_partitions = 1;
   std::size_t partition_replication = 0;
-  /// Ship propagation over the replication stream (listener -> loopback
-  /// TCP -> receiver) instead of in-process queues.
-  bool transport_tcp = false;
 };
 
 class SystemPropertyTest : public ::testing::TestWithParam<PropertyParams> {};
@@ -62,7 +59,6 @@ TEST_P(SystemPropertyTest, HistorySatisfiesGuarantee) {
   config.freshness_routing = p.freshness_routing;
   config.num_partitions = p.num_partitions;
   config.partition_replication = p.partition_replication;
-  config.transport_tcp = p.transport_tcp;
   ReplicatedSystem sys(config);
   sys.Start();
 
@@ -215,29 +211,14 @@ INSTANTIATE_TEST_SUITE_P(
                        "session_partitioned_routed", /*roam_reads=*/false,
                        /*legacy_refresh=*/false, /*freshness_routing=*/true,
                        /*num_partitions=*/4, /*partition_replication=*/2},
-        // End-to-end over the replication stream the deployed processes
-        // run: the same guarantees must hold when propagation crosses the
-        // kernel TCP stack.
-        PropertyParams{session::Guarantee::kStrongSessionSI, 3, 6, 30, 0,
-                       "session_tcp", /*roam_reads=*/false,
-                       /*legacy_refresh=*/false, /*freshness_routing=*/false,
-                       /*num_partitions=*/1, /*partition_replication=*/0,
-                       /*transport_tcp=*/true},
         PropertyParams{session::Guarantee::kWeakSI, 2, 4, 30, 40,
-                       "weak_tcp", /*roam_reads=*/false,
-                       /*legacy_refresh=*/false, /*freshness_routing=*/false,
-                       /*num_partitions=*/1, /*partition_replication=*/0,
-                       /*transport_tcp=*/true},
+                       "weak_batched_2sec"},
         PropertyParams{session::Guarantee::kStrongSI, 2, 3, 20, 0,
-                       "strong_tcp", /*roam_reads=*/false,
-                       /*legacy_refresh=*/false, /*freshness_routing=*/false,
-                       /*num_partitions=*/1, /*partition_replication=*/0,
-                       /*transport_tcp=*/true},
+                       "strong_2sec_3clients"},
         PropertyParams{session::Guarantee::kStrongSessionSI, 4, 4, 25, 0,
-                       "session_partitioned_tcp", /*roam_reads=*/false,
+                       "session_partitioned_4clients", /*roam_reads=*/false,
                        /*legacy_refresh=*/false, /*freshness_routing=*/false,
-                       /*num_partitions=*/4, /*partition_replication=*/2,
-                       /*transport_tcp=*/true}),
+                       /*num_partitions=*/4, /*partition_replication=*/2}),
     [](const ::testing::TestParamInfo<PropertyParams>& info) {
       return info.param.name;
     });

@@ -207,7 +207,6 @@ TEST(ReplicatedSystemTest, StreamResumesDeliveryAfterStopStart) {
   // the propagator's position: nothing committed before or after the
   // restart may be lost, replayed twice, or leave a gap in the stream.
   SystemConfig config = Config(session::Guarantee::kStrongSessionSI, 1);
-  config.transport_tcp = true;
   ReplicatedSystem sys(config);
   sys.Start();
   ASSERT_TRUE(sys.ConnectTo(0)

@@ -56,6 +56,32 @@ TEST(SystemStatsTest, FailedSecondaryMarked) {
   sys.Stop();
 }
 
+TEST(SystemStatsTest, DefaultConfigStreamsEverySecondary) {
+  // With the default, fault-free config every secondary still receives its
+  // records over the replication stream the deployed processes run, so both
+  // ends of every stream count frames.
+  SystemConfig config;
+  config.num_secondaries = 3;
+  ReplicatedSystem sys(config);
+  sys.Start();
+  auto client = sys.Connect();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(client
+                    ->ExecuteUpdate([&](SystemTransaction& t) {
+                      return t.Put("k" + std::to_string(i), "v");
+                    })
+                    .ok());
+  }
+  ASSERT_TRUE(sys.WaitForReplication());
+  const auto stats = sys.Stats();
+  ASSERT_EQ(stats.secondaries.size(), 3u);
+  for (const auto& sec : stats.secondaries) {
+    EXPECT_GT(sec.listener.frames_sent, 0u) << "secondary " << sec.index;
+    EXPECT_GT(sec.receiver.frames_received, 0u) << "secondary " << sec.index;
+  }
+  sys.Stop();
+}
+
 TEST(SystemStatsTest, WireVolumeCountersSurfaceOverChaosTransport) {
   // The stream's listener and receiver count frames/bytes at both ends of
   // the delivery pipeline; the stats layer must surface them per secondary
