@@ -82,6 +82,11 @@ void Database::Close() { log_.Close(); }
 
 void Database::AttachDurableLog(wal::DurableLog* durable) {
   durable_ = durable;
+  // Tailers of the logical log read only the flushed prefix; each flush
+  // wakes them (the propagator blocks on this, it never polls).
+  durable->SetFlushListener([this](std::uint64_t flushed_end) {
+    log_.SetDurableEnd(static_cast<std::size_t>(flushed_end));
+  });
   txn_manager_.SetDurabilityGate(
       [this](Timestamp commit_ts) { return DurabilityGate(commit_ts); });
 }

@@ -121,10 +121,12 @@ class Database : private txn::TxnObserver {
   Result<Timestamp> InstallCheckpoint(const Checkpoint& checkpoint);
 
   /// Attaches a durable on-disk mirror of the logical log: every record the
-  /// observers append is also queued on `durable` under the same LSN, and
-  /// every commit acknowledgement blocks on the flushed-LSN watermark (the
-  /// group-commit ack rule). Attach before any transaction runs (or right
-  /// after RestoreFromDurable).
+  /// observers append is also queued on `durable` under the same LSN, every
+  /// commit acknowledgement blocks on the flushed-LSN watermark (the
+  /// group-commit ack rule), and the logical log's tailers read only below
+  /// that watermark (LogicalLog::SetDurableEnd on every flush). Attach
+  /// before any transaction runs (or right after RestoreFromDurable); close
+  /// `durable` before this database is destroyed.
   void AttachDurableLog(wal::DurableLog* durable);
 
   /// The attached durable log; null for an in-memory database.

@@ -17,12 +17,12 @@ namespace replication {
 /// queues and receive the start/commit schedule lazily.
 class Primary {
  public:
-  /// The propagator's durability read barrier comes from `db`: while a
-  /// durable log is attached, replication stays behind its flushed-LSN
-  /// watermark, so no record reaches a secondary before it reaches disk.
+  /// While `db` has a durable log attached, its logical log is readable
+  /// only up to the flushed-LSN watermark, so replication stays behind it:
+  /// no record reaches a secondary before it reaches disk.
   explicit Primary(engine::Database* db,
                    PropagatorOptions options = PropagatorOptions())
-      : db_(db), propagator_(db->log(), WithReadBarrier(db, options)) {}
+      : db_(db), propagator_(db->log(), options) {}
 
   /// Attaches a secondary that is already consistent with the propagator's
   /// current position (e.g. it was attached before any update ran). An
@@ -48,17 +48,6 @@ class Primary {
   }
 
  private:
-  static PropagatorOptions WithReadBarrier(engine::Database* db,
-                                           PropagatorOptions options) {
-    options.read_limit = [db]() -> std::size_t {
-      wal::DurableLog* durable = db->durable();
-      return durable != nullptr
-                 ? static_cast<std::size_t>(durable->flushed_end())
-                 : SIZE_MAX;
-    };
-    return options;
-  }
-
   engine::Database* db_;
   Propagator propagator_;
 };

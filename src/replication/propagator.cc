@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <condition_variable>
 
 #include "common/logging.h"
 
@@ -153,50 +154,34 @@ void Propagator::DetachSink(BlockingQueue<PropagationRecord>* sink) {
 }
 
 void Propagator::Start() {
-  if (started_) return;
-  started_ = true;
-  stop_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { Run(); });
+  if (thread_.joinable()) return;
+  thread_ = std::jthread([this](std::stop_token stop) { Run(stop); });
 }
 
 void Propagator::Stop() {
-  if (!started_) return;
-  stop_.store(true, std::memory_order_release);
+  if (!thread_.joinable()) return;
+  thread_.request_stop();
   thread_.join();
-  started_ = false;
 }
 
-void Propagator::Run() {
-  while (!stop_.load(std::memory_order_acquire)) {
+void Propagator::Run(std::stop_token stop) {
+  std::mutex think_mu;
+  std::condition_variable_any think_cv;  // only Stop wakes it
+  while (!stop.stop_requested()) {
     if (options_.batch_interval.count() > 0) {
       // Batched cycles: think for one propagation delay *before* each drain
-      // (Table 1's propagation_delay is the propagator's think time), in
-      // small increments so Stop() stays responsive.
-      auto remaining = options_.batch_interval;
-      const auto step = std::chrono::milliseconds(10);
-      while (remaining.count() > 0 && !stop_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::min(step, remaining));
-        remaining -= step;
-      }
+      // (Table 1's propagation_delay is the propagator's think time).
+      std::unique_lock<std::mutex> lock(think_mu);
+      think_cv.wait_for(lock, stop, options_.batch_interval,
+                        [] { return false; });
     }
-    // Drain everything currently available, in log order, one burst (and
+    // Drain everything currently readable, in log order, one burst (and
     // one per-sink PushAll) per lock hold.
     bool drained_any = false;
     while (DrainBurst() > 0) drained_any = true;
-    if (options_.batch_interval.count() == 0 && !drained_any) {
-      // Continuous mode: block until the next record appears.
-      const std::size_t pos = position_.load(std::memory_order_acquire);
-      auto rec = log_->WaitAt(pos, std::chrono::milliseconds(50));
-      if (rec.has_value() && options_.read_limit &&
-          pos >= options_.read_limit()) {
-        // The record exists but is still behind the durability barrier.
-        // Yield while the flush completes rather than spinning on WaitAt
-        // (which returns immediately).
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      if (!rec.has_value() && log_->closed()) {
-        if (log_->Size() <= position_.load(std::memory_order_acquire)) break;
-      }
+    if (options_.batch_interval.count() == 0 && !drained_any &&
+        !log_->WaitReadable(position(), stop)) {
+      break;  // stopped, or the log closed and is drained
     }
   }
   // Final drain so a Stop after workload completion loses nothing.
@@ -206,14 +191,13 @@ void Propagator::Run() {
 
 std::size_t Propagator::DrainBurst() {
   std::lock_guard<std::mutex> lock(mu_);
-  // Sampled once per burst: the watermark only advances, so a stale sample
-  // merely under-drains this round.
-  const std::size_t limit =
-      options_.read_limit ? options_.read_limit() : SIZE_MAX;
+  // Sampled once per burst: the readable end only advances, so a stale
+  // sample merely under-drains this round.
+  const std::size_t limit = log_->ReadableEnd();
   std::size_t consumed = 0;
   while (consumed < kBroadcastBurst) {
     const std::size_t pos = position_.load(std::memory_order_relaxed);
-    if (pos >= limit) break;  // record not durable yet
+    if (pos >= limit) break;  // not appended, or not durable yet
     auto rec = log_->At(pos);
     if (!rec.has_value()) break;
     ConsumeLocked(*rec);

@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <map>
 #include <mutex>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -25,13 +25,6 @@ struct PropagatorOptions {
   /// last cycle are sent, modelling the paper's `propagation_delay`
   /// (Table 1: 10 s propagator think time).
   std::chrono::milliseconds batch_interval{0};
-  /// Durability barrier: when set, the propagator only consumes log records
-  /// below the returned LSN (exclusive). Primary points this at its
-  /// database's flushed-LSN watermark so no record reaches a secondary
-  /// before it reaches disk — otherwise a crash could leave the restarted
-  /// primary *behind* its secondaries, re-issuing timestamps they already
-  /// applied. Null = no barrier.
-  std::function<std::size_t()> read_limit;
 };
 
 /// Algorithm 3.1: tails the primary's logical log as a "log sniffer"
@@ -46,6 +39,13 @@ struct PropagatorOptions {
 ///     updates of transactions that abort are never shipped;
 ///   - abort records drop the update list and are forwarded so refreshers
 ///     can abandon the refresh transaction they already started.
+///
+/// It reads only below the log's ReadableEnd(): on a durable primary that
+/// is the flushed prefix, so no record reaches a secondary before it
+/// reaches disk (otherwise a crash could leave the restarted primary
+/// *behind* its secondaries, re-issuing timestamps they already applied).
+/// In continuous mode the thread blocks in LogicalLog::WaitReadable, which
+/// an append (in-memory log), a flush (durable log) and Stop all wake.
 class Propagator {
  public:
   explicit Propagator(wal::LogicalLog* log,
@@ -142,7 +142,7 @@ class Propagator {
   /// bound keeps Attach/Detach latency under a steady firehose.
   static constexpr std::size_t kBroadcastBurst = 256;
 
-  void Run();
+  void Run(std::stop_token stop);
   /// Consumes up to kBroadcastBurst log records under one mu_ hold and
   /// flushes their propagation records to every sink. Returns the number of
   /// log records consumed (0 = nothing available).
@@ -181,9 +181,7 @@ class Propagator {
   std::atomic<std::size_t> position_{0};
   std::atomic<std::uint64_t> commits_propagated_{0};
   std::atomic<std::uint64_t> records_broadcast_{0};
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-  bool started_ = false;
+  std::jthread thread_;
 };
 
 }  // namespace replication

@@ -384,7 +384,7 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
       primary_db_(engine::DatabaseOptions{kPrimarySiteId, "primary",
                                           config.record_state_chain}),
       primary_(&primary_db_, replication::PropagatorOptions{
-                                 config.propagation_batch_interval, nullptr}),
+                                 config.propagation_batch_interval}),
       sessions_(config.guarantee) {
   // Durable primary: restore from the data directory's checkpoint + log
   // suffix before anything attaches to the propagator, then gate commit

@@ -78,6 +78,10 @@ bool IsUpdate(const LogRecord& r) {
   return r.type == LogRecordType::kUpdate;
 }
 
+bool IsBoundary(const LogRecord& r) {
+  return r.type == LogRecordType::kCommit || r.type == LogRecordType::kAbort;
+}
+
 }  // namespace
 
 bool ParseFsyncMode(const std::string& name, DurableLog::FsyncMode* mode) {
@@ -250,8 +254,7 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(const Options& opts,
     if (!IsUpdate(r)) ++log->records_seen_;
     if (r.type == LogRecordType::kStart) {
       ++log->open_txns_;
-    } else if (r.type == LogRecordType::kCommit ||
-               r.type == LogRecordType::kAbort) {
+    } else if (IsBoundary(r)) {
       --log->open_txns_;
     }
   }
@@ -277,13 +280,61 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(const Options& opts,
 DurableLog::~DurableLog() { Close(); }
 
 void DurableLog::Append(std::uint64_t lsn, const LogRecord& record) {
+  bool wake;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(
-        PendingRecord{lsn, record, std::chrono::steady_clock::now()});
+    pending_.push_back(PendingRecord{lsn, record});
+    pending_bytes_ += ApproxEncodedSize(record);
     next_lsn_ = lsn + 1;
+    if (IsBoundary(record)) {
+      RequestSyncLocked(lsn + 1, std::chrono::steady_clock::now());
+    }
+    // A start or update record wakes the writer only when a waiter's
+    // target already covers it, or at the byte cap.
+    wake = lsn < sync_end_ || pending_bytes_ >= opts_.max_group_bytes;
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_all();
+}
+
+bool DurableLog::RequestSyncLocked(std::uint64_t end,
+                                   std::chrono::steady_clock::time_point now) {
+  if (end <= sync_end_) return false;
+  const std::uint64_t head = pending_.empty() ? next_lsn_ : pending_.front().lsn;
+  if (sync_end_ <= head) sync_since_ = now;  // no request outstanding
+  sync_end_ = end;
+  return true;
+}
+
+bool DurableLog::WriteDueLocked() const {
+  if (pending_.empty()) return false;
+  return std::max(sync_end_, flush_target_) > pending_.front().lsn ||
+         pending_bytes_ >= opts_.max_group_bytes;
+}
+
+std::vector<DurableLog::PendingRecord> DurableLog::TakePendingLocked(
+    std::uint64_t end, std::size_t max_bytes) {
+  std::vector<PendingRecord> batch;
+  std::size_t bytes = 0;
+  while (!pending_.empty() && pending_.front().lsn < end && bytes < max_bytes) {
+    bytes += ApproxEncodedSize(pending_.front().record);
+    batch.push_back(std::move(pending_.front()));
+    pending_.pop_front();
+  }
+  pending_bytes_ -= bytes;
+  return batch;
+}
+
+void DurableLog::AdvanceFlushedLocked(std::uint64_t end) {
+  if (end <= flushed_end_) return;
+  flushed_end_ = end;
+  if (flush_listener_) flush_listener_(flushed_end_);
+}
+
+void DurableLog::SetFlushListener(
+    std::function<void(std::uint64_t)> listener) {
+  std::lock_guard<std::mutex> lock(mu_);
+  flush_listener_ = std::move(listener);
+  if (flush_listener_) flush_listener_(flushed_end_);
 }
 
 Status DurableLog::RotateLocked(std::uint64_t next_lsn) {
@@ -339,8 +390,7 @@ Status DurableLog::WriteBatch(const std::vector<PendingRecord>& batch) {
     buf += payload;
     if (p.record.type == LogRecordType::kStart) {
       ++open_txns_;
-    } else if (p.record.type == LogRecordType::kCommit ||
-               p.record.type == LogRecordType::kAbort) {
+    } else if (IsBoundary(p.record)) {
       --open_txns_;
     }
     if (!IsUpdate(p.record)) ++records_seen_;
@@ -371,36 +421,25 @@ void DurableLog::WriterLoop() {
     std::vector<PendingRecord> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-      if (pending_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      if (opts_.fsync_mode == FsyncMode::kGroup &&
+      cv_.wait(lock, [&] { return stop_ || WriteDueLocked(); });
+      if (pending_.empty()) return;  // stopped with nothing left to write
+      if (!stop_ && opts_.fsync_mode == FsyncMode::kGroup &&
           opts_.group_flush_interval.count() > 0) {
-        // Linger briefly after the first queued record so concurrent
-        // committers can pile into the same fsync. An explicit Flush()
-        // target, the byte cap, or shutdown cuts the linger short.
-        const auto deadline =
-            pending_.front().enqueued + opts_.group_flush_interval;
-        std::size_t bytes = 0;
-        cv_.wait_until(lock, deadline, [&] {
-          if (stop_ || flush_target_ > flushed_end_) return true;
-          bytes = 0;
-          for (const auto& p : pending_) {
-            bytes += ApproxEncodedSize(p.record);
-            if (bytes >= opts_.max_group_bytes) return true;
-          }
-          return false;
+        // Linger from the oldest unsynced boundary so concurrent committers
+        // can pile into the same fsync. An explicit Flush() target, the
+        // byte cap, or shutdown cuts the linger short.
+        cv_.wait_until(lock, sync_since_ + opts_.group_flush_interval, [&] {
+          return stop_ || flush_target_ > pending_.front().lsn ||
+                 pending_bytes_ >= opts_.max_group_bytes;
         });
       }
-      std::size_t bytes = 0;
-      while (!pending_.empty()) {
-        bytes += ApproxEncodedSize(pending_.front().record);
-        batch.push_back(std::move(pending_.front()));
-        pending_.pop_front();
-        if (bytes >= opts_.max_group_bytes) break;
-      }
+      // Everything up to the highest requested end, in batches of at most
+      // max_group_bytes; at the byte cap (or shutdown), whatever is queued.
+      const bool take_all =
+          stop_ || pending_bytes_ >= opts_.max_group_bytes;
+      batch = TakePendingLocked(
+          take_all ? UINT64_MAX : std::max(sync_end_, flush_target_),
+          opts_.max_group_bytes);
     }
     Status s = WriteBatch(batch);
     {
@@ -408,8 +447,8 @@ void DurableLog::WriterLoop() {
       if (!s.ok()) {
         if (io_status_.ok()) io_status_ = s;
         LAZYSI_ERROR("durable_log: writer error: " << s.ToString());
-      } else if (!batch.empty()) {
-        flushed_end_ = batch.back().lsn + 1;
+      } else {
+        AdvanceFlushedLocked(batch.back().lsn + 1);
       }
     }
     flush_cv_.notify_all();
@@ -423,10 +462,8 @@ Status DurableLog::InlineFlush(std::uint64_t end_lsn) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!io_status_.ok()) return io_status_;
     if (flushed_end_ >= end_lsn) return Status::OK();
-    while (!pending_.empty() && pending_.front().lsn < end_lsn) {
-      batch.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
+    end_lsn = std::min(end_lsn, next_lsn_);
+    batch = TakePendingLocked(end_lsn, SIZE_MAX);
   }
   Status s = WriteBatch(batch);
   {
@@ -435,7 +472,7 @@ Status DurableLog::InlineFlush(std::uint64_t end_lsn) {
       if (io_status_.ok()) io_status_ = s;
       return s;
     }
-    flushed_end_ = std::max(flushed_end_, end_lsn);
+    AdvanceFlushedLocked(end_lsn);
   }
   flush_cv_.notify_all();
   return Status::OK();
@@ -451,23 +488,28 @@ Status DurableLog::WaitDurable(std::uint64_t end_lsn) {
       break;
   }
   std::unique_lock<std::mutex> lock(mu_);
-  flush_cv_.wait(lock, [&] {
-    return flushed_end_ >= end_lsn || !io_status_.ok() || stop_;
-  });
-  if (flushed_end_ >= end_lsn) return Status::OK();
-  if (!io_status_.ok()) return io_status_;
-  return Status::Unavailable("durable log closed");
+  // A commit's own record already requested its sync; only a target past
+  // every queued boundary needs to wake the writer.
+  if (flushed_end_ < end_lsn &&
+      RequestSyncLocked(end_lsn, std::chrono::steady_clock::now())) {
+    cv_.notify_all();
+  }
+  return WaitFlushedLocked(lock, end_lsn);
 }
 
 Status DurableLog::Flush(std::uint64_t end_lsn) {
   if (opts_.fsync_mode == FsyncMode::kAlways) return InlineFlush(end_lsn);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    end_lsn = std::min(end_lsn, next_lsn_);
-    flush_target_ = std::max(flush_target_, end_lsn);
-  }
-  cv_.notify_all();
   std::unique_lock<std::mutex> lock(mu_);
+  end_lsn = std::min(end_lsn, next_lsn_);
+  if (end_lsn > flush_target_) {
+    flush_target_ = end_lsn;
+    cv_.notify_all();
+  }
+  return WaitFlushedLocked(lock, end_lsn);
+}
+
+Status DurableLog::WaitFlushedLocked(std::unique_lock<std::mutex>& lock,
+                                     std::uint64_t end_lsn) {
   flush_cv_.wait(lock, [&] {
     return flushed_end_ >= end_lsn || !io_status_.ok() || stop_;
   });
@@ -542,6 +584,7 @@ void DurableLog::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    flush_listener_ = nullptr;
   }
   cv_.notify_all();
   flush_cv_.notify_all();

@@ -34,7 +34,7 @@ namespace wal {
 /// segment start is a valid replay base.
 ///
 /// Appends are queued in memory; durability is governed by `fsync_mode`:
-///  - kGroup:  a log-writer thread batches everything queued into one
+///  - kGroup:  a log-writer thread batches queued records into one
 ///             write+fdatasync and advances the flushed watermark; commits
 ///             wait on the watermark, so N concurrent commits share a fsync.
 ///  - kAlways: no writer thread; each WaitDurable call flushes and fsyncs
@@ -43,6 +43,24 @@ namespace wal {
 ///  - kNever:  the writer thread writes batches but never fsyncs, and
 ///             WaitDurable returns immediately (durability off; the bench
 ///             baseline for "what does the queueing itself cost").
+///
+/// Boundary rule (kGroup / kNever): the writer syncs at transaction
+/// boundaries, not per record. Only a commit or abort record, a
+/// WaitDurable/Flush target, or `max_group_bytes` of queued records wakes
+/// it; it then writes and syncs everything queued up to the highest
+/// requested end (the last queued commit/abort LSN + 1, or a waiter's
+/// target, whichever is higher) in one fdatasync. Start and update records
+/// ride along with the commit or abort that follows them: nothing reads
+/// them from disk before that record (the propagator ships a transaction's
+/// updates with its commit), and recovery aborts a transaction whose
+/// commit never reached disk. WaitDurable on any LSN still returns once
+/// that prefix is on disk. The optional kGroup linger
+/// (`group_flush_interval`) counts from the oldest unsynced boundary, not
+/// from the oldest queued record.
+///
+/// Every advance of the flushed watermark is reported to the flush
+/// listener (see SetFlushListener): the primary's propagator blocks on it
+/// instead of polling.
 ///
 /// On Open, a torn tail in the final segment (crash mid-write) is truncated
 /// away; a torn record in any earlier segment is corruption and fails.
@@ -53,12 +71,15 @@ class DurableLog {
   struct Options {
     std::string dir;  // segment directory; created if missing
     FsyncMode fsync_mode = FsyncMode::kGroup;
-    /// In kGroup mode, how long the writer lingers after the first queued
-    /// record to let a batch accumulate. 0 = flush as soon as the writer
-    /// wakes (batching then comes for free from fsync latency itself).
+    /// In kGroup mode, how long the writer lingers to let a batch
+    /// accumulate, counted from the oldest unsynced boundary (the first
+    /// commit/abort or WaitDurable target since the last batch was taken;
+    /// a start record queued earlier does not shorten it). 0 = flush as
+    /// soon as the writer wakes (batching then comes for free from fsync
+    /// latency itself).
     std::chrono::microseconds group_flush_interval{0};
     /// A batch is flushed no later than when this many encoded bytes are
-    /// queued, regardless of the flush interval.
+    /// queued, regardless of the flush interval or of any boundary.
     std::size_t max_group_bytes = 1 << 20;
     /// Rotate to a new segment once the current one exceeds this size (at
     /// the next quiesced boundary).
@@ -93,11 +114,13 @@ class DurableLog {
   ~DurableLog();
 
   /// Queues a record for the writer. `lsn` must be exactly the next LSN
-  /// (appends mirror the in-memory LogicalLog one-for-one, in order).
+  /// (appends mirror the in-memory LogicalLog one-for-one, in order). Only
+  /// a commit or abort record requests a sync (the boundary rule above).
   void Append(std::uint64_t lsn, const LogRecord& record);
 
   /// Commit-gate wait: blocks until every record with LSN < `end_lsn` is
-  /// durable per the configured mode (kNever: returns immediately).
+  /// durable per the configured mode (kNever: returns immediately). Any
+  /// LSN works, boundary or not: the target itself requests a sync.
   Status WaitDurable(std::uint64_t end_lsn);
 
   /// Forces records with LSN < `end_lsn` onto disk now, bypassing the group
@@ -118,6 +141,13 @@ class DurableLog {
   std::uint64_t next_lsn() const;
   Counters counters() const;
 
+  /// Installs the flush listener, called with the new flushed watermark
+  /// each time it advances, and right away with the current one. It runs
+  /// under the log's mutex, so calls arrive in watermark order and none
+  /// runs after Close returns; it must be cheap and must not call back
+  /// into this log.
+  void SetFlushListener(std::function<void(std::uint64_t)> listener);
+
   /// Test hook, called at crash-injection points on the flushing thread.
   /// Set once right after Open, before any Append.
   void SetCrashHook(std::function<void(CrashPoint)> hook) {
@@ -128,12 +158,29 @@ class DurableLog {
   struct PendingRecord {
     std::uint64_t lsn;
     LogRecord record;
-    std::chrono::steady_clock::time_point enqueued;
   };
 
   explicit DurableLog(Options opts) : opts_(std::move(opts)) {}
 
   void WriterLoop();
+  /// Registers a sync request for every LSN < `end`, starting the linger
+  /// clock if no request was outstanding. Returns false when an earlier
+  /// request already covers `end`. Must be called with mu_ held.
+  bool RequestSyncLocked(std::uint64_t end,
+                         std::chrono::steady_clock::time_point now);
+  /// True when the writer has something to write now: a sync request or
+  /// the byte cap. Must be called with mu_ held.
+  bool WriteDueLocked() const;
+  /// Dequeues pending records with LSN < `end`, stopping once the batch
+  /// holds `max_bytes` (approximate encoded size). mu_ held.
+  std::vector<PendingRecord> TakePendingLocked(std::uint64_t end,
+                                               std::size_t max_bytes);
+  /// Raises the flushed watermark and tells the listener. mu_ held.
+  void AdvanceFlushedLocked(std::uint64_t end);
+  /// Blocks until the watermark reaches `end_lsn`, an I/O error sticks, or
+  /// the log closes.
+  Status WaitFlushedLocked(std::unique_lock<std::mutex>& lock,
+                           std::uint64_t end_lsn);
   /// Encodes and writes `batch` to the active segment (rotating at quiesced
   /// boundaries), then fsyncs per mode. Called by the writer thread, or
   /// under io_mu_ in kAlways mode.
@@ -151,9 +198,15 @@ class DurableLog {
   std::condition_variable cv_;        // wakes the writer
   std::condition_variable flush_cv_;  // wakes WaitDurable/Flush waiters
   std::deque<PendingRecord> pending_;
+  std::size_t pending_bytes_ = 0;  // approximate encoded size of pending_
   std::uint64_t next_lsn_ = 0;     // next append LSN
   std::uint64_t flushed_end_ = 0;  // all LSNs < this are on disk
+  std::uint64_t sync_end_ = 0;     // highest requested end (boundary/wait)
+  // When the oldest request not yet taken by the writer arrived: the
+  // linger origin. Meaningful only while sync_end_ is above pending_'s head.
+  std::chrono::steady_clock::time_point sync_since_;
   std::uint64_t flush_target_ = 0;  // writer skips the linger below this
+  std::function<void(std::uint64_t)> flush_listener_;
   Status io_status_;               // sticky first I/O failure
   bool stop_ = false;
 

@@ -1,16 +1,20 @@
 #include "wal/logical_log.h"
 
+#include <algorithm>
+
 namespace lazysi {
 namespace wal {
 
 std::size_t LogicalLog::Append(LogRecord record) {
   std::size_t lsn;
+  bool readable;
   {
     std::lock_guard<std::mutex> lock(mu_);
     lsn = base_lsn_ + records_.size();
     records_.push_back(std::move(record));
+    readable = !gated_;  // a gated record waits for SetDurableEnd
   }
-  cv_.notify_all();
+  if (readable) cv_.notify_all();
   return lsn;
 }
 
@@ -48,16 +52,39 @@ std::optional<LogRecord> LogicalLog::At(std::size_t lsn) const {
   return records_[lsn - base_lsn_];
 }
 
-std::optional<LogRecord> LogicalLog::WaitAt(
-    std::size_t lsn, std::chrono::milliseconds timeout) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, timeout, [&] {
-    return lsn < base_lsn_ + records_.size() || closed_;
-  });
-  if (lsn < base_lsn_ || lsn - base_lsn_ >= records_.size()) {
-    return std::nullopt;
+void LogicalLog::SetDurableEnd(std::size_t end) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    durable_end_ = gated_ ? std::max(durable_end_, end) : end;
+    gated_ = true;
   }
-  return records_[lsn - base_lsn_];
+  cv_.notify_all();
+}
+
+std::size_t LogicalLog::ReadableEnd() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ReadableEndLocked();
+}
+
+std::size_t LogicalLog::ReadableEndLocked() const {
+  const std::size_t size = base_lsn_ + records_.size();
+  return gated_ ? std::min(size, durable_end_) : size;
+}
+
+bool LogicalLog::WaitReadable(std::size_t lsn, std::stop_token stop) const {
+  // The callback takes mu_, so a stop request cannot slip in between the
+  // predicate check and the wait. It is registered before mu_ is locked
+  // (it runs at once if a stop was already requested) and outlives `lock`.
+  std::stop_callback wake(stop, [this] {
+    std::lock_guard<std::mutex> guard(mu_);
+    cv_.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] {
+    return lsn < ReadableEndLocked() || stop.stop_requested() ||
+           (closed_ && lsn >= base_lsn_ + records_.size());
+  });
+  return lsn < ReadableEndLocked();
 }
 
 void LogicalLog::Close() {
@@ -66,11 +93,6 @@ void LogicalLog::Close() {
     closed_ = true;
   }
   cv_.notify_all();
-}
-
-bool LogicalLog::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
 }
 
 std::string LogicalLog::EncodeFrom(std::size_t from) const {

@@ -1,12 +1,12 @@
 #ifndef LAZYSI_WAL_LOGICAL_LOG_H_
 #define LAZYSI_WAL_LOGICAL_LOG_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <stop_token>
 #include <vector>
 
 #include "wal/log_record.h"
@@ -20,15 +20,18 @@ namespace wal {
 /// and commit timestamps are consistent with the actual order of start and
 /// commit operations at the site").
 ///
-/// The propagator tails the log through a LogCursor (a "log sniffer" in the
-/// paper's terms, Section 5: it does not go through the concurrency control).
+/// The propagator tails the log (a "log sniffer" in the paper's terms,
+/// Section 5: it does not go through the concurrency control), reading only
+/// below ReadableEnd(): on a durable primary that is the flushed prefix, so
+/// no record reaches a secondary before it reaches disk.
 /// LSNs are *absolute*: they keep counting across checkpoint truncation and
-/// restarts. `base_lsn()` is the oldest retained LSN; At/WaitAt below it
-/// return nullopt (the record was truncated away).
+/// restarts. `base_lsn()` is the oldest retained LSN; At below it returns
+/// nullopt (the record was truncated away).
 class LogicalLog {
  public:
-  /// Appends a record; wakes blocked cursors. Returns the record's log
-  /// sequence number (LSN, 0-based, absolute).
+  /// Appends a record; wakes blocked tailers unless the log is gated on a
+  /// durable end. Returns the record's log sequence number (LSN, 0-based,
+  /// absolute).
   std::size_t Append(LogRecord record);
 
   /// One past the last appended LSN (absolute), i.e. the next LSN.
@@ -48,15 +51,22 @@ class LogicalLog {
   /// Returns the record at `lsn` if it exists and is still retained.
   std::optional<LogRecord> At(std::size_t lsn) const;
 
-  /// Blocks until a record with LSN >= `lsn` exists or the log is closed or
-  /// `timeout` elapses. Returns the record, or nullopt on close/timeout.
-  std::optional<LogRecord> WaitAt(
-      std::size_t lsn,
-      std::chrono::milliseconds timeout = std::chrono::milliseconds(100)) const;
+  /// Gates tailers on a durable prefix: after the first call, only records
+  /// below the highest `end` passed here are readable. Wakes blocked
+  /// tailers. A durable primary calls this on every flush of its log.
+  void SetDurableEnd(std::size_t end);
 
-  /// Closes the log (site shutdown); blocked readers wake with nullopt.
+  /// One past the last readable LSN: Size(), or the durable end when lower.
+  std::size_t ReadableEnd() const;
+
+  /// Blocks until the record at `lsn` is readable (returns true), `stop` is
+  /// requested, or the log is closed with no record at or after `lsn`
+  /// (both return false). An append to an ungated log, SetDurableEnd, Close
+  /// and the stop request each wake it.
+  bool WaitReadable(std::size_t lsn, std::stop_token stop) const;
+
+  /// Closes the log (site shutdown); blocked tailers wake.
   void Close();
-  bool closed() const;
 
   /// Serializes records [from, Size()) to a byte string (for checkpointing
   /// and for shipping a recovery delta, Section 3.4). The range is snapshot
@@ -68,10 +78,14 @@ class LogicalLog {
   static Result<std::vector<LogRecord>> DecodeAll(const std::string& data);
 
  private:
+  std::size_t ReadableEndLocked() const;
+
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::deque<LogRecord> records_;
   std::size_t base_lsn_ = 0;  // absolute LSN of records_.front()
+  bool gated_ = false;        // set by the first SetDurableEnd
+  std::size_t durable_end_ = 0;
   bool closed_ = false;
 };
 

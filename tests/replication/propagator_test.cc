@@ -1,11 +1,18 @@
 #include "replication/propagator.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 
+#include "engine/checkpointer.h"
 #include "engine/database.h"
+#include "replication/primary.h"
+#include "wal/durable_log.h"
 
 namespace lazysi {
 namespace replication {
@@ -21,6 +28,40 @@ std::optional<PropagationRecord> PopWithin(Queue& q, int ms = 2000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return std::nullopt;
+}
+
+/// A database with a group-commit durable log in a fresh temp directory
+/// (named per process, so concurrent runs of this binary do not collide).
+class DurableSite {
+ public:
+  explicit DurableSite(std::chrono::microseconds linger) {
+    dir_ = std::filesystem::path(testing::TempDir()) /
+           ("propagator_test_" + std::to_string(::getpid()) + "_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    wal::DurableLog::Options lo;
+    lo.group_flush_interval = linger;
+    auto state = engine::OpenDataDir(&db, dir_.string(), lo);
+    if (state.ok()) durable = std::move(state->durable);
+  }
+  ~DurableSite() {
+    if (durable) durable->Close();
+    std::filesystem::remove_all(dir_);
+  }
+
+  engine::Database db;
+  std::unique_ptr<wal::DurableLog> durable;
+
+ private:
+  std::filesystem::path dir_;
+};
+
+double StopMillis(Propagator* prop) {
+  const auto t0 = std::chrono::steady_clock::now();
+  prop->Stop();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 TEST(PropagatorTest, CommitCarriesUpdateList) {
@@ -271,6 +312,83 @@ TEST(PropagatorTest, BatchedModeDeliversInCycles) {
   auto r = PopWithin(sink, 1000);
   EXPECT_TRUE(r.has_value());
   prop.Stop();
+}
+
+TEST(PropagatorTest, StopReturnsPromptly) {
+  // An idle propagator blocks on the log; Stop must wake it at once, not
+  // after a poll interval.
+  {
+    engine::Database db;
+    Propagator prop(db.log());
+    prop.Start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_LT(StopMillis(&prop), 10.0);
+  }
+  // Same behind the durability barrier: the open transaction's start and
+  // update records are appended but not synced (no boundary yet), so the
+  // propagator waits for a flush that does not come.
+  DurableSite site(std::chrono::microseconds(0));
+  ASSERT_NE(site.durable, nullptr);
+  Primary primary(&site.db);
+  primary.Start();
+  auto t = site.db.Begin();
+  ASSERT_TRUE(t->Put("a", "1").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_LT(site.db.log()->ReadableEnd(), site.db.log()->Size());
+  EXPECT_LT(StopMillis(primary.propagator()), 10.0);
+  t->Abort();
+}
+
+TEST(PropagatorTest, DurableRecordsReachSinksOnlyAfterTheirFlush) {
+  // A long linger holds the commit's fsync for ~100 ms.
+  DurableSite site(std::chrono::milliseconds(100));
+  ASSERT_NE(site.durable, nullptr);
+  Primary primary(&site.db);
+  Queue sink;
+  primary.propagator()->AttachSink(&sink);
+  primary.Start();
+  // A second tailer drains every 5 ms whether or not anything woke it, so
+  // the barrier itself is checked, not just the wake-up that follows it.
+  Propagator cycling(site.db.log(),
+                     PropagatorOptions{std::chrono::milliseconds(5)});
+  Queue cycled;
+  cycling.AttachSink(&cycled);
+  cycling.Start();
+  std::thread committer([&] {
+    auto t = site.db.Begin();
+    ASSERT_TRUE(t->Put("a", "1").ok());
+    ASSERT_TRUE(t->Commit().ok());
+  });
+  // Start, update, commit at LSNs 0..2. Inside the linger nothing is on
+  // disk, so nothing may be replicated.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(site.durable->flushed_end(), 0u);
+  EXPECT_FALSE(sink.TryPop().has_value());
+  EXPECT_FALSE(cycled.TryPop().has_value());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (site.durable->flushed_end() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_GE(site.durable->flushed_end(), 3u);
+  // The flush itself wakes the propagator: the records follow within a
+  // few ms, not after a poll interval.
+  const auto flushed = std::chrono::steady_clock::now();
+  auto start = sink.PopFor(std::chrono::seconds(2));
+  auto commit = sink.PopFor(std::chrono::seconds(2));
+  const double lag_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - flushed)
+                            .count();
+  committer.join();
+  ASSERT_TRUE(start.has_value());
+  EXPECT_TRUE(std::holds_alternative<PropStart>(*start));
+  ASSERT_TRUE(commit.has_value());
+  EXPECT_TRUE(std::holds_alternative<PropCommit>(*commit));
+  EXPECT_LT(lag_ms, 20.0);
+  EXPECT_TRUE(cycled.PopFor(std::chrono::seconds(2)).has_value());
+  cycling.Stop();
+  primary.Stop();
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // DurableLog unit tests: segment round-trips across reopen, torn-tail
 // recovery by direct file surgery (the on-disk image a mid-write crash
-// leaves behind), quiesced-boundary rotation, truncation, and the fsync-mode
-// contract. Crash injection through the process-kill harness lives in
+// leaves behind), quiesced-boundary rotation, truncation, the fsync-mode
+// contract, and the boundary rule (one sync per commit/abort, linger
+// counted from the boundary). Crash injection through the process-kill harness lives in
 // engine/durable_recovery_test.cc; here the "crash" is ftruncate.
 
 #include "wal/durable_log.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "wal/log_record.h"
@@ -331,6 +334,91 @@ TEST_F(DurableLogTest, GroupModeBatchesAndCounts) {
   EXPECT_GE(c.max_group_size, 1u);
   EXPECT_LE(c.flush_batches, c.records_flushed);
   EXPECT_GE(c.segments_created, 1u);
+  (*log)->Close();
+}
+
+TEST_F(DurableLogTest, GroupModeSyncsOncePerTransaction) {
+  DurableLog::Recovered rec;
+  auto log = DurableLog::Open(Opts(DurableLog::FsyncMode::kGroup), &rec);
+  ASSERT_TRUE(log.ok());
+  const auto before = (*log)->counters();
+  // Start and updates trickle in: none of them is a boundary, so none is
+  // synced on its own.
+  (*log)->Append(0, LogRecord::Start(1, 10));
+  for (std::uint64_t lsn = 1; lsn <= 3; ++lsn) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    (*log)->Append(lsn, LogRecord::Update(1, "k" + std::to_string(lsn), "v",
+                                          false));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ((*log)->flushed_end(), 0u);
+  EXPECT_EQ((*log)->counters().fsyncs, before.fsyncs);
+  // The commit syncs the whole transaction in one fdatasync.
+  (*log)->Append(4, LogRecord::Commit(1, 11));
+  ASSERT_TRUE((*log)->WaitDurable(5).ok());
+  EXPECT_EQ((*log)->flushed_end(), 5u);
+  const auto after = (*log)->counters();
+  EXPECT_EQ(after.fsyncs - before.fsyncs, 1u);
+  EXPECT_EQ(after.flush_batches - before.flush_batches, 1u);
+  EXPECT_EQ(after.records_flushed, 5u);
+  (*log)->Close();
+}
+
+TEST_F(DurableLogTest, AbortReachesDiskWithoutWaiter) {
+  DurableLog::Recovered rec;
+  auto log = DurableLog::Open(Opts(DurableLog::FsyncMode::kGroup), &rec);
+  ASSERT_TRUE(log.ok());
+  (*log)->Append(0, LogRecord::Start(1, 10));
+  (*log)->Append(1, LogRecord::Update(1, "k", "v", false));
+  (*log)->Append(2, LogRecord::Abort(1));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((*log)->flushed_end() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ((*log)->flushed_end(), 3u);
+  (*log)->Close();
+}
+
+TEST_F(DurableLogTest, NonBoundaryTargetsStillComplete) {
+  DurableLog::Recovered rec;
+  auto log = DurableLog::Open(Opts(DurableLog::FsyncMode::kGroup), &rec);
+  ASSERT_TRUE(log.ok());
+  (*log)->Append(0, LogRecord::Start(1, 10));
+  (*log)->Append(1, LogRecord::Update(1, "a", "1", false));
+  ASSERT_TRUE((*log)->WaitDurable(1).ok());
+  EXPECT_GE((*log)->flushed_end(), 1u);
+  ASSERT_TRUE((*log)->Flush(2).ok());
+  EXPECT_EQ((*log)->flushed_end(), 2u);
+  // A target ahead of the log completes once its records arrive, though
+  // neither of them is a boundary.
+  Status waited = Status::Internal("not returned");
+  std::thread waiter([&] { waited = (*log)->WaitDurable(4); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  (*log)->Append(2, LogRecord::Update(1, "b", "2", false));
+  (*log)->Append(3, LogRecord::Update(1, "c", "3", false));
+  waiter.join();
+  EXPECT_TRUE(waited.ok()) << waited;
+  EXPECT_EQ((*log)->flushed_end(), 4u);
+  (*log)->Close();
+}
+
+TEST_F(DurableLogTest, LingerCountsFromTheBoundary) {
+  auto opts = Opts(DurableLog::FsyncMode::kGroup);
+  opts.group_flush_interval = std::chrono::milliseconds(2);
+  DurableLog::Recovered rec;
+  auto log = DurableLog::Open(opts, &rec);
+  ASSERT_TRUE(log.ok());
+  // A start record queued 1.5 ms before the commit must not eat the
+  // commit's linger: the window opens at the commit.
+  (*log)->Append(0, LogRecord::Start(1, 10));
+  std::this_thread::sleep_for(std::chrono::microseconds(1500));
+  const auto committed = std::chrono::steady_clock::now();
+  (*log)->Append(1, LogRecord::Commit(1, 11));
+  ASSERT_TRUE((*log)->WaitDurable(2).ok());
+  EXPECT_GE(std::chrono::steady_clock::now() - committed,
+            std::chrono::microseconds(1500));
   (*log)->Close();
 }
 

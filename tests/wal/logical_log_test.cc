@@ -24,22 +24,48 @@ TEST(LogicalLogTest, AtReturnsRecord) {
   EXPECT_FALSE(log.At(1).has_value());
 }
 
-TEST(LogicalLogTest, WaitAtBlocksUntilAppend) {
+TEST(LogicalLogTest, WaitReadableBlocksUntilAppend) {
   LogicalLog log;
   std::thread appender([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     log.Append(LogRecord::Start(1, 1));
   });
-  auto r = log.WaitAt(0, std::chrono::milliseconds(2000));
+  EXPECT_TRUE(log.WaitReadable(0, std::stop_token()));
   appender.join();
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->txn_id, 1u);
+  EXPECT_EQ(log.At(0)->txn_id, 1u);
 }
 
-TEST(LogicalLogTest, WaitAtTimesOut) {
+TEST(LogicalLogTest, DurableEndGatesReaders) {
   LogicalLog log;
-  auto r = log.WaitAt(0, std::chrono::milliseconds(10));
-  EXPECT_FALSE(r.has_value());
+  log.SetDurableEnd(0);
+  log.Append(LogRecord::Start(1, 1));
+  log.Append(LogRecord::Commit(1, 2));
+  // Appended but not durable: not readable yet.
+  EXPECT_EQ(log.Size(), 2u);
+  EXPECT_EQ(log.ReadableEnd(), 0u);
+  std::thread flusher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    log.SetDurableEnd(2);
+  });
+  EXPECT_TRUE(log.WaitReadable(1, std::stop_token()));
+  flusher.join();
+  EXPECT_EQ(log.ReadableEnd(), 2u);
+  // The durable end never moves back, and never passes the log's end.
+  log.SetDurableEnd(1);
+  EXPECT_EQ(log.ReadableEnd(), 2u);
+  log.SetDurableEnd(10);
+  EXPECT_EQ(log.ReadableEnd(), 2u);
+}
+
+TEST(LogicalLogTest, StopRequestWakesWaiter) {
+  LogicalLog log;
+  std::stop_source stop;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    stop.request_stop();
+  });
+  EXPECT_FALSE(log.WaitReadable(0, stop.get_token()));
+  stopper.join();
 }
 
 TEST(LogicalLogTest, CloseWakesWaiters) {
@@ -48,10 +74,8 @@ TEST(LogicalLogTest, CloseWakesWaiters) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     log.Close();
   });
-  auto r = log.WaitAt(0, std::chrono::milliseconds(5000));
+  EXPECT_FALSE(log.WaitReadable(0, std::stop_token()));
   closer.join();
-  EXPECT_FALSE(r.has_value());
-  EXPECT_TRUE(log.closed());
 }
 
 TEST(LogicalLogTest, EncodeDecodeSuffix) {
